@@ -553,7 +553,7 @@ pub trait Clear {
 ///   whole mass to a single shard), whichever worker draws the hot
 ///   ticket becomes the critical path while the others idle.
 /// * [`WorkStealing`](IngestPolicy::WorkStealing) seeds per-worker
-///   queues (heaviest unit first, honoring any placement hint), and idle
+///   queues (heaviest unit first), and idle
 ///   workers steal *whole* pending units from busy owners — never
 ///   splitting a shard, so determinism survives. `steal_threshold` is
 ///   the minimum number of items a queued unit must carry to be worth

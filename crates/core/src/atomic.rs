@@ -29,11 +29,11 @@
 //! insertion may be split into per-layer sub-insertions. ReliableSketch
 //! is closed under such splits (weighted insertions already split across
 //! the lock boundary), so the structural guarantees survive: estimates
-//! never undershoot the truth, `MPE(e) ≤ Σ λ_i ≤ Λ` for every key, and a
-//! locked bucket stays locked. What is *not* preserved under concurrent
-//! interleaving is bit-for-bit determinism of the election outcomes —
-//! that is restored one level up by
-//! [`crate::concurrent::ShardedReliable::ingest_parallel`], which applies
+//! never undershoot the truth (short of the saturation caveat below),
+//! `MPE(e) ≤ Σ λ_i ≤ Λ` for every key, and a locked bucket stays locked.
+//! What is *not* preserved under concurrent interleaving is bit-for-bit
+//! determinism of the election outcomes — that is restored one level up
+//! by [`crate::concurrent::ShardedReliable::ingest_parallel`], which applies
 //! each shard's sub-stream in stream order from a single owner.
 //!
 //! ### Feature parity with the sequential sketch
@@ -59,11 +59,21 @@
 //!
 //! ### Caveats vs. [`crate::ReliableSketch`]
 //!
-//! * Fingerprinting adds a `2⁻²⁴` per-colliding-pair chance of two keys
-//!   aliasing inside one bucket (the paper's own 32-bit `ID` field makes
-//!   the same trade against `u64` keys, at `2⁻³²`).
-//! * `count` saturates at `2²⁸ − 1` per bucket; saturation events are
-//!   counted in [`AtomicStats::saturations`].
+//! Two premise violations are open (ROADMAP item 3); while either fires,
+//! a certified interval may exclude the truth:
+//!
+//! * **Fingerprint aliasing.** Buckets hold a 24-bit fingerprint, not
+//!   the key, so two keys that share a bucket and a fingerprint alias
+//!   (a `2⁻²⁴` chance per colliding pair for random keys; the paper's
+//!   32-bit `ID` field makes the same trade at `2⁻³²`). The absent twin
+//!   then reads the present key's `YES` as its own, which lifts
+//!   `f̂ − MPE` above its truth: after 1000 inserts of one key, its
+//!   crafted alias answers `est = 1000, mpe = 0`. The seed is fixed per
+//!   configuration, so such pairs can be found offline.
+//! * **Count saturation.** `YES` is a 28-bit field that clips at
+//!   [`COUNT_MAX`]; the clipped mass is lost, so `f̂` can fall below the
+//!   truth and the interval sits under it. The only trace is
+//!   [`AtomicStats::saturations`].
 //! * With a mice filter configured, racing inserts of one key may read
 //!   the CU minimum across lanes mid-update; the per-key estimate can
 //!   then trail the truth by at most
@@ -109,7 +119,6 @@ use crate::config::ReliableConfig;
 use crate::emergency::EmergencyStore;
 use crate::filter::{AtomicMiceFilter, FILTER_SEED_SALT};
 use crate::geometry::LayerGeometry;
-use crate::simd;
 use crate::topk::TopKSummary;
 use parking_lot::Mutex;
 use rsk_api::{
@@ -133,10 +142,6 @@ pub const ERR_MAX: u64 = (1 << ERR_BITS) - 1;
 pub const COUNT_MAX: u64 = (1 << COUNT_BITS) - 1;
 /// Mask of the 24-bit candidate fingerprint.
 pub const FP_MASK: u64 = (1 << (64 - ERR_BITS - COUNT_BITS)) - 1;
-
-/// Bit offset of the fingerprint field within the packed word (the
-/// shift the ×4 prescan applies to compare four fingerprints at once).
-pub(crate) const FP_SHIFT: u32 = COUNT_BITS + ERR_BITS;
 
 #[inline]
 pub(crate) fn pack(fp: u64, count: u64, err: u64) -> u64 {
@@ -318,11 +323,6 @@ impl AtomicBucketArray {
 
     /// Apply one layer step for `fingerprint` at `(layer, index)` with a
     /// CAS loop; returns the leftover value that must descend.
-    ///
-    /// The transition function is `step_word`, or its mask-select
-    /// (branchless) twin when the `simd` feature is on — the two are
-    /// property-tested equal, so the committed word is the same either
-    /// way; only the retry loop's control flow differs.
     #[inline]
     pub fn insert_step(&self, layer: usize, index: usize, fingerprint: u64, value: u64) -> u64 {
         let global = self.offsets[layer] + index;
@@ -330,8 +330,7 @@ impl AtomicBucketArray {
         let lambda = self.lambdas[layer];
         let mut current = cell.load(Ordering::Acquire);
         loop {
-            let (next, leftover, saturated) =
-                crate::simd::dispatch_step(current, fingerprint, value, lambda);
+            let (next, leftover, saturated) = step_word(current, fingerprint, value, lambda);
             match cell.compare_exchange_weak(current, next, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => {
                     if saturated {
@@ -346,66 +345,6 @@ impl AtomicBucketArray {
                 }
             }
         }
-    }
-
-    /// The absorb fast path behind the ×4 fingerprint prescan: commit a
-    /// matching-candidate addition at `(layer, index)` if — and only as
-    /// long as — the bucket's fingerprint still equals `fingerprint` at
-    /// CAS time. Returns `false` without touching the bucket when the
-    /// prescan hint went stale (a racing replace), in which case the
-    /// caller runs the full [`Self::insert_step`] walk; the committed
-    /// transition is exactly [`step_word`]'s matching branch, so taking
-    /// this path never changes the resulting word.
-    #[inline]
-    pub(crate) fn try_absorb(
-        &self,
-        layer: usize,
-        index: usize,
-        fingerprint: u64,
-        value: u64,
-    ) -> bool {
-        let global = self.offsets[layer] + index;
-        let cell = &self.words[global];
-        let mut current = cell.load(Ordering::Acquire);
-        loop {
-            if current >> FP_SHIFT != fingerprint {
-                return false;
-            }
-            let (_, yes, no) = unpack(current);
-            let raised = yes.saturating_add(value);
-            let next = pack(fingerprint, raised.min(COUNT_MAX), no);
-            match cell.compare_exchange_weak(current, next, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => {
-                    if raised > COUNT_MAX {
-                        self.stats.saturations.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.mark_dirty(global);
-                    return true;
-                }
-                Err(actual) => {
-                    self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                    current = actual;
-                }
-            }
-        }
-    }
-
-    /// Pull the cache line of bucket `(layer, index)` toward L1 ahead of
-    /// its apply step. A relaxed load discarded through `black_box` is
-    /// the `unsafe`-free software prefetch (the crate forbids `unsafe`,
-    /// so `core::arch` prefetch intrinsics are out); it reads shared
-    /// memory but never writes, so it cannot perturb results.
-    #[inline]
-    pub(crate) fn prefetch(&self, layer: usize, index: usize) {
-        core::hint::black_box(self.words[self.offsets[layer] + index].load(Ordering::Relaxed));
-    }
-
-    /// Relaxed load of the packed word at `(layer, index)` — the ×4
-    /// prescan's source. Staleness is safe: hints are re-validated under
-    /// CAS by [`Self::try_absorb`].
-    #[inline]
-    pub(crate) fn word_relaxed(&self, layer: usize, index: usize) -> u64 {
-        self.words[self.offsets[layer] + index].load(Ordering::Relaxed)
     }
 
     /// Flag bucket `global` as touched since the last replication cut.
@@ -781,13 +720,6 @@ impl<K: Key> ConcurrentReliable<K> {
     #[inline]
     fn insert_prehashed(&self, key: &K, value: u64, fp: u64, idx0: usize) {
         self.array.note_item();
-        self.insert_filtered(key, value, fp, idx0);
-    }
-
-    /// [`Self::insert_prehashed`] minus the item accounting (the batched
-    /// fast path notes the item before its prescan dispatch).
-    #[inline]
-    fn insert_filtered(&self, key: &K, value: u64, fp: u64, idx0: usize) {
         let mut v = value;
         if let Some(f) = &self.filter {
             v = f.insert(key, v);
@@ -824,68 +756,27 @@ impl<K: Key> ConcurrentReliable<K> {
 
     /// Insert a batch, amortizing fingerprint and layer-0 hashing over a
     /// tight precompute loop per 64-item chunk. Semantically identical to
-    /// calling [`Self::insert_concurrent`] per item in order.
+    /// calling [`Self::insert_concurrent`] per item in order; items are
+    /// applied in stream order.
     ///
-    /// With the `simd` feature on, the prefix hashes four lanes at a
-    /// time, upcoming layer-0 lines are software-prefetched
-    /// [`crate::simd::PREFETCH_DISTANCE`] items ahead, and — on the raw,
-    /// un-monitored configuration — a ×4 packed-word prescan dispatches
-    /// matching-candidate lanes straight to the one-CAS absorb fast path
-    /// (stale hints fall back to the full walk under CAS, so results are
-    /// bit-identical to the scalar path; `tests/simd_parity.rs` pins
-    /// this). Items are always applied in stream order.
+    /// This is the workspace's one batched ingest path that measurably
+    /// beats its item loop, on the raw variant (no mice filter; see
+    /// ARCHITECTURE.md, "The batched ingest path"). With a filter in
+    /// front, most items stop at the filter and never use their
+    /// precomputed index, so the prefix saves little.
     pub fn insert_batch(&self, items: &[(K, u64)]) {
         const CHUNK: usize = 64;
         let w0 = self.geometry.width(0);
         let mut idx0 = [0usize; CHUNK];
         let mut fps = [0u64; CHUNK];
-        // The prescan only pays off when every nonzero item walks the
-        // buckets directly; filter/top-K front-ends keep the per-item
-        // path (their hashing still rides the ×4 prefix).
-        let prescan = simd::ENABLED && self.filter.is_none() && self.topk.is_none();
         for chunk in items.chunks(CHUNK) {
-            let n = chunk.len();
-            simd::layer0_prefix(
-                &self.hashes,
-                self.fp_seed,
-                FP_MASK,
-                w0,
-                chunk,
-                &mut idx0[..n],
-                &mut fps[..n],
-            );
-            let mut s = 0;
-            if prescan {
-                while s + simd::LANES <= n {
-                    if s + simd::PREFETCH_DISTANCE + simd::LANES <= n {
-                        for d in 0..simd::LANES {
-                            self.array
-                                .prefetch(0, idx0[s + simd::PREFETCH_DISTANCE + d]);
-                        }
-                    }
-                    let words = core::array::from_fn(|l| self.array.word_relaxed(0, idx0[s + l]));
-                    let lane_fps = core::array::from_fn(|l| fps[s + l]);
-                    let hit = simd::fp_match_x4(words, lane_fps, FP_SHIFT);
-                    // in-order apply: lane l of this group is item s + l
-                    for l in 0..simd::LANES {
-                        let (k, v) = chunk[s + l];
-                        if v == 0 {
-                            continue;
-                        }
-                        self.array.note_item();
-                        if !(hit[l] && self.array.try_absorb(0, idx0[s + l], fps[s + l], v)) {
-                            self.insert_filtered(&k, v, fps[s + l], idx0[s + l]);
-                        }
-                    }
-                    s += simd::LANES;
-                }
+            for (s, (k, _)) in chunk.iter().enumerate() {
+                idx0[s] = self.hashes.index(0, k, w0);
+                fps[s] = self.fingerprint(k);
             }
-            for (i, &(k, v)) in chunk.iter().enumerate().skip(s) {
-                if simd::ENABLED && i + simd::PREFETCH_DISTANCE < n {
-                    self.array.prefetch(0, idx0[i + simd::PREFETCH_DISTANCE]);
-                }
+            for (s, &(k, v)) in chunk.iter().enumerate() {
                 if v > 0 {
-                    self.insert_prehashed(&k, v, fps[i], idx0[i]);
+                    self.insert_prehashed(&k, v, fps[s], idx0[s]);
                 }
             }
         }

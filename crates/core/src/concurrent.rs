@@ -38,11 +38,11 @@
 //! * `Static` — shards are claimed off a shared ticket in index order
 //!   (the historical behaviour, and the default of `ingest_parallel`);
 //! * `WorkStealing` — shard batches become weighted work units in
-//!   per-worker queues (heaviest first; a [`ShardPlacement`] hint seeds
-//!   owners inside NUMA-ish group bands) and idle workers steal whole
-//!   pending units, so a skew-heated hot shard no longer convoys the
-//!   batch tail. See [`crate::schedule`] for the scheduler and
-//!   `docs/CONCURRENCY.md` for the performance model.
+//!   per-worker queues (heaviest first, shard `s` seeded on worker
+//!   `s mod w`) and idle workers steal whole pending units, so a
+//!   skew-heated hot shard no longer convoys the batch tail. See
+//!   [`crate::schedule`] for the scheduler and `docs/CONCURRENCY.md`
+//!   for the performance model.
 //!
 //! Because a unit is never split, both policies produce bit-identical
 //! sketches — the root `work_stealing` suite property-tests this across
@@ -91,7 +91,7 @@
 
 use crate::atomic::ConcurrentReliable;
 use crate::config::ReliableConfig;
-use crate::schedule::{run_work_stealing, ShardPlacement, WorkUnit};
+use crate::schedule::{run_work_stealing, WorkUnit};
 use rsk_api::{
     Algorithm, ConcurrentErrorSensing, ConcurrentSummary, ErrorSensing, Estimate, IngestPolicy,
     Key, MemoryFootprint, StreamSummary,
@@ -104,7 +104,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 pub struct ShardedReliable<K: Key> {
     shards: Vec<ConcurrentReliable<K>>,
     router_seed: u32,
-    placement: Option<ShardPlacement>,
     steals: AtomicU64,
 }
 
@@ -136,86 +135,13 @@ impl<K: Key> ShardedReliable<K> {
         Self {
             shards: configs.into_iter().map(ConcurrentReliable::new).collect(),
             router_seed,
-            placement: None,
-            steals: AtomicU64::new(0),
-        }
-    }
-
-    /// Like [`Self::new`], but with a [`ShardPlacement`] topology hint:
-    /// the shard count is `placement.shards()`, each group's shard memory
-    /// is constructed from a dedicated thread of that group (best-effort
-    /// first-touch NUMA locality — no hard pinning, the crate forbids
-    /// `unsafe`), and [`Self::ingest_parallel_with`] seeds each shard's
-    /// phase-2 owner inside the group's worker band.
-    ///
-    /// Per-shard budgets and seeds are derived exactly as in
-    /// [`Self::new`] *before* any thread spawns, so a placed sketch is
-    /// bit-identical to an unplaced one with the same configuration —
-    /// placement only moves memory and work, never answers.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use rsk_core::concurrent::ShardedReliable;
-    /// use rsk_core::schedule::ShardPlacement;
-    /// use rsk_core::ReliableConfig;
-    ///
-    /// let config = ReliableConfig { memory_bytes: 128 * 1024, seed: 5, ..Default::default() };
-    /// let placed = ShardedReliable::<u64>::with_placement(
-    ///     config.clone(),
-    ///     ShardPlacement::contiguous(8, 2), // or ShardPlacement::detect(8)
-    /// );
-    /// let plain = ShardedReliable::<u64>::new(config, 8);
-    /// placed.insert_shared(&7, 3);
-    /// plain.insert_shared(&7, 3);
-    /// assert_eq!(placed.query_shared(&7), plain.query_shared(&7));
-    /// ```
-    ///
-    /// # Panics
-    /// Panics under the same conditions as [`Self::new`].
-    pub fn with_placement(config: ReliableConfig, placement: ShardPlacement) -> Self
-    where
-        K: Send + Sync,
-    {
-        let (configs, router_seed) = shard_configs(&config, placement.shards());
-        // Construct each group's shards from one thread of that group:
-        // with the OS's default local-allocation policy this first-touch
-        // biases a group's bucket pages toward wherever its thread runs.
-        let mut built: Vec<(usize, ConcurrentReliable<K>)> = std::thread::scope(|scope| {
-            let placement = &placement;
-            let handles: Vec<_> = (0..placement.groups())
-                .map(|g| {
-                    let group_configs: Vec<(usize, ReliableConfig)> = configs
-                        .iter()
-                        .enumerate()
-                        .filter(|(s, _)| placement.group_of(*s) == g)
-                        .map(|(s, c)| (s, c.clone()))
-                        .collect();
-                    scope.spawn(move || {
-                        group_configs
-                            .into_iter()
-                            .map(|(s, c)| (s, ConcurrentReliable::new(c)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("shard construction panicked"))
-                .collect()
-        });
-        built.sort_by_key(|(s, _)| *s);
-        Self {
-            shards: built.into_iter().map(|(_, sh)| sh).collect(),
-            router_seed,
-            placement: Some(placement),
             steals: AtomicU64::new(0),
         }
     }
 
     /// Reassemble a sketch from individually restored shards (the
-    /// replication layer's full-snapshot path). Placement hints and the
-    /// steal gauge do not travel: a replica starts unplaced.
+    /// replication layer's full-snapshot path). The steal gauge does not
+    /// travel: a replica starts at zero.
     #[cfg(feature = "serde")]
     pub(crate) fn from_restored_shards(
         shards: Vec<ConcurrentReliable<K>>,
@@ -225,14 +151,8 @@ impl<K: Key> ShardedReliable<K> {
         Self {
             shards,
             router_seed,
-            placement: None,
             steals: AtomicU64::new(0),
         }
-    }
-
-    /// The topology hint this sketch was built with, if any.
-    pub fn placement(&self) -> Option<&ShardPlacement> {
-        self.placement.as_ref()
     }
 
     /// Work units stolen across all [`Self::ingest_parallel_with`] calls
@@ -277,12 +197,11 @@ impl<K: Key> ShardedReliable<K> {
 
     /// Insert a batch from one caller: order-preserving shard partition,
     /// then each shard's sub-stream through
-    /// [`ConcurrentReliable::insert_batch`] (which carries the `simd`
-    /// lane hashing/prefetch/prescan machinery when the feature is on).
-    /// Keys never share a shard across the partition boundary, so this
-    /// is bit-identical to an in-order [`Self::insert_shared`] loop —
-    /// the same argument that makes [`Self::ingest_parallel`]
-    /// deterministic, pinned by `tests/simd_parity.rs`.
+    /// [`ConcurrentReliable::insert_batch`] and its per-chunk hash
+    /// prefix. Keys never share a shard across the partition boundary,
+    /// so this is bit-identical to an in-order [`Self::insert_shared`]
+    /// loop — the same argument that makes [`Self::ingest_parallel`]
+    /// deterministic, pinned by `tests/batch_parity.rs`.
     pub fn insert_batch(&self, items: &[(K, u64)]) {
         let mut per_shard: Vec<Vec<(K, u64)>> = vec![Vec::new(); self.shards.len()];
         for &(k, v) in items {
@@ -381,8 +300,8 @@ impl<K: Key> ShardedReliable<K> {
     ///   shared ticket in shard order (the historical behaviour);
     /// * [`IngestPolicy::WorkStealing`] — shard batches become weighted
     ///   [work units](crate::schedule::WorkUnit) in per-worker queues
-    ///   (seeded by the [`ShardPlacement`] hint when the sketch has one,
-    ///   heaviest first), and idle workers steal whole pending units of
+    ///   (shard `s` seeded on worker `s mod n_workers`, heaviest first),
+    ///   and idle workers steal whole pending units of
     ///   at least `steal_threshold` items. Under skewed shard loads this
     ///   removes the hot-shard convoy; see [`crate::schedule`] for the
     ///   makespan model. Steals are counted on [`Self::steals`].
@@ -481,12 +400,7 @@ impl<K: Key> ShardedReliable<K> {
                         weight: partitions.iter().map(|chunk| chunk[shard].len()).sum(),
                     })
                     .collect();
-                let owners: Vec<usize> = (0..n_shards)
-                    .map(|shard| match &self.placement {
-                        Some(p) => p.preferred_worker(shard, n_workers),
-                        None => shard % n_workers,
-                    })
-                    .collect();
+                let owners: Vec<usize> = (0..n_shards).map(|shard| shard % n_workers).collect();
                 let stats = run_work_stealing(&units, &owners, n_workers, steal_threshold, |u| {
                     apply_shard(units[u].shard)
                 });
@@ -630,9 +544,7 @@ const SHARD_SALT: u32 = 0x05aa_bbcd;
 
 /// Derive the per-shard configurations (budget split with the remainder
 /// spread over leading shards, SplitMix64 seed stream) and the routing
-/// seed — shared by [`ShardedReliable::new`] and
-/// [`ShardedReliable::with_placement`] so placement can never perturb
-/// the shard parameters.
+/// seed of [`ShardedReliable::new`].
 fn shard_configs(config: &ReliableConfig, n_shards: usize) -> (Vec<ReliableConfig>, u32) {
     assert!(n_shards > 0, "need at least one shard");
     let base = config.memory_bytes / n_shards;

@@ -529,9 +529,9 @@ impl<K: Key> EpochedConcurrent<K> {
     }
 
     /// Batched insert into the active epoch — delegates to
-    /// [`ConcurrentReliable::insert_batch`], so the `simd` lane
-    /// hashing/prefetch machinery applies per window generation and the
-    /// result is bit-identical to an [`Self::insert_shared`] item loop.
+    /// [`ConcurrentReliable::insert_batch`], so its per-chunk hash
+    /// prefix applies per window generation and the result is
+    /// bit-identical to an [`Self::insert_shared`] item loop.
     #[inline]
     pub fn insert_batch(&self, items: &[(K, u64)]) {
         self.active.insert_batch(items);

@@ -43,10 +43,10 @@
 //!   key subset with a sound [`rsk_api::CertifiedWeight`] interval summed
 //!   from the per-key certified bounds, behind the object-safe
 //!   [`rsk_api::SubpopulationWeight`] trait on every sketch flavour;
-//! * [`simd`] — the vectorized single-core ingest machinery (`simd`
-//!   feature): multi-lane batch hashing, ×4 packed-word prescan,
-//!   software prefetch and the branchless CAS step, bit-identical to the
-//!   scalar fallback by construction and by differential test;
+//! * [`simd`] — names the ingest backend (always `"scalar"`) for
+//!   benchmark and report provenance; the one batched path that pays,
+//!   [`atomic::ConcurrentReliable::insert_batch`]'s per-chunk hash
+//!   prefix, is plain scalar code pinned bit-identical to the item loop;
 //! * [`merge`] — distributed aggregation: [`rsk_api::Merge`] for the
 //!   sequential sketch, both concurrent types, and mixed
 //!   sequential→concurrent folds;
@@ -113,7 +113,6 @@ pub use geometry::LayerGeometry;
 pub use merge::merge_all;
 #[cfg(feature = "serde")]
 pub use replicate::{SketchSnapshot, SlimShards, SlimSummary};
-pub use schedule::ShardPlacement;
 pub use sketch::ReliableSketch;
 pub use stats::{InsertTrace, QueryTrace, SketchStats, StopLayer};
 pub use subpop::DENSE_ENUMERATION_LIMIT;

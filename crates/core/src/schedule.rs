@@ -1,5 +1,5 @@
 //! Phase-2 scheduling for sharded parallel ingestion: whole-shard work
-//! units, per-worker queues with stealing, and NUMA-ish placement hints.
+//! units and per-worker queues with stealing.
 //!
 //! [`ShardedReliable`](crate::concurrent::ShardedReliable) ingests in two
 //! phases: workers first partition the stream into per-shard batch
@@ -17,14 +17,7 @@
 //! * [`run_work_stealing`] seeds per-worker queues (heaviest unit first,
 //!   a classic LPT ordering), lets each owner drain its own queue, and
 //!   lets idle workers steal the heaviest still-pending unit above a
-//!   `steal_threshold` from any other queue;
-//! * [`ShardPlacement`] is an optional topology hint mapping shards to
-//!   "core groups" (NUMA nodes, CCDs, clusters): each group's shards
-//!   prefer a contiguous band of workers, and
-//!   [`ShardedReliable::with_placement`](crate::concurrent::ShardedReliable::with_placement)
-//!   additionally constructs each group's shard memory from a thread of
-//!   that group (best-effort first-touch locality — the crate is
-//!   `forbid(unsafe_code)`, so no hard thread pinning).
+//!   `steal_threshold` from any other queue.
 //!
 //! The makespan story, quantitatively: with `w` workers and per-shard
 //! loads `L₁ ≥ L₂ ≥ …`, any whole-shard schedule is lower-bounded by
@@ -178,150 +171,6 @@ where
     }
 }
 
-/// Topology hint for sharded ingestion: which "core group" (NUMA node,
-/// CCD, cluster) each shard belongs to.
-///
-/// A placement does two things:
-///
-/// * **memory** —
-///   [`ShardedReliable::with_placement`](crate::concurrent::ShardedReliable::with_placement)
-///   constructs each group's shards from a dedicated thread, so
-///   first-touch page allocation lands the group's bucket arrays
-///   together (best-effort: the crate forbids `unsafe`, so threads are
-///   not hard-pinned to cores);
-/// * **scheduling** — [`Self::preferred_worker`] maps each group to a
-///   contiguous band of the worker range, so the phase-2 owner of a
-///   shard starts on a worker of the shard's group. Stealing crosses
-///   group boundaries only when a worker has gone idle.
-///
-/// # Examples
-///
-/// ```
-/// use rsk_core::schedule::ShardPlacement;
-///
-/// // 8 shards over 2 groups, block layout: shards 0–3 ↦ group 0
-/// let p = ShardPlacement::contiguous(8, 2);
-/// assert_eq!(p.groups(), 2);
-/// assert_eq!(p.group_of(0), 0);
-/// assert_eq!(p.group_of(7), 1);
-/// // with 4 workers, group 0 prefers workers {0,1}, group 1 workers {2,3}
-/// assert_eq!(p.preferred_worker(0, 4), 0);
-/// assert_eq!(p.preferred_worker(1, 4), 1);
-/// assert_eq!(p.preferred_worker(4, 4), 2);
-/// assert_eq!(p.preferred_worker(5, 4), 3);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardPlacement {
-    group_of: Vec<usize>,
-    rank_in_group: Vec<usize>,
-    n_groups: usize,
-}
-
-impl ShardPlacement {
-    /// Explicit placement: `group_of[s]` is shard `s`'s group. Group ids
-    /// need not be dense; `groups()` reports `max + 1`.
-    ///
-    /// # Panics
-    /// Panics if `group_of` is empty.
-    pub fn from_groups(group_of: Vec<usize>) -> Self {
-        assert!(!group_of.is_empty(), "placement needs at least one shard");
-        let n_groups = group_of.iter().copied().max().unwrap_or(0) + 1;
-        let mut seen = vec![0usize; n_groups];
-        let rank_in_group = group_of
-            .iter()
-            .map(|&g| {
-                let r = seen[g];
-                seen[g] += 1;
-                r
-            })
-            .collect();
-        Self {
-            group_of,
-            rank_in_group,
-            n_groups,
-        }
-    }
-
-    /// Block layout: shard `s` belongs to group `s·n_groups / n_shards`
-    /// (contiguous shard ranges per group — the natural fit for
-    /// interleaved physical memory).
-    ///
-    /// # Panics
-    /// Panics if `n_shards == 0` or `n_groups == 0`.
-    pub fn contiguous(n_shards: usize, n_groups: usize) -> Self {
-        assert!(n_shards > 0 && n_groups > 0, "need shards and groups");
-        let n_groups = n_groups.min(n_shards);
-        Self::from_groups((0..n_shards).map(|s| s * n_groups / n_shards).collect())
-    }
-
-    /// Round-robin layout: shard `s` belongs to group `s mod n_groups`.
-    ///
-    /// # Panics
-    /// Panics if `n_shards == 0` or `n_groups == 0`.
-    pub fn round_robin(n_shards: usize, n_groups: usize) -> Self {
-        assert!(n_shards > 0 && n_groups > 0, "need shards and groups");
-        let n_groups = n_groups.min(n_shards);
-        Self::from_groups((0..n_shards).map(|s| s % n_groups).collect())
-    }
-
-    /// Best-effort topology detection: on Linux the group count is the
-    /// number of `/sys/devices/system/node/node*` entries (NUMA nodes);
-    /// everywhere else — or when sysfs is unreadable — a single group,
-    /// which makes the placement a no-op hint.
-    pub fn detect(n_shards: usize) -> Self {
-        Self::contiguous(n_shards, detected_node_count().max(1))
-    }
-
-    /// Number of shards this placement covers.
-    pub fn shards(&self) -> usize {
-        self.group_of.len()
-    }
-
-    /// Number of core groups.
-    pub fn groups(&self) -> usize {
-        self.n_groups
-    }
-
-    /// The group shard `shard` belongs to.
-    pub fn group_of(&self, shard: usize) -> usize {
-        self.group_of[shard]
-    }
-
-    /// The worker that should initially own `shard` when `n_workers`
-    /// workers ingest: group `g` maps to the contiguous worker band
-    /// `[g·w/G, (g+1)·w/G)`, and the group's shards round-robin inside
-    /// it. A group whose band is empty (fewer workers than groups) falls
-    /// back to worker `g mod n_workers`.
-    pub fn preferred_worker(&self, shard: usize, n_workers: usize) -> usize {
-        let n_workers = n_workers.max(1);
-        let g = self.group_of[shard];
-        let start = g * n_workers / self.n_groups;
-        let end = ((g + 1) * n_workers / self.n_groups).min(n_workers);
-        if start >= end {
-            return g % n_workers;
-        }
-        start + self.rank_in_group[shard] % (end - start)
-    }
-}
-
-/// Count `/sys/devices/system/node/node<N>` entries (0 when unreadable).
-fn detected_node_count() -> usize {
-    let Ok(entries) = std::fs::read_dir("/sys/devices/system/node") else {
-        return 0;
-    };
-    entries
-        .flatten()
-        .filter(|e| {
-            e.file_name()
-                .to_str()
-                .and_then(|n| n.strip_prefix("node"))
-                .is_some_and(|suffix| {
-                    !suffix.is_empty() && suffix.bytes().all(|b| b.is_ascii_digit())
-                })
-        })
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,53 +288,6 @@ mod tests {
         let mut h = DefaultHasher::new();
         std::thread::current().id().hash(&mut h);
         h.finish() as usize
-    }
-
-    #[test]
-    fn placement_layouts_and_bands() {
-        let block = ShardPlacement::contiguous(8, 2);
-        assert_eq!(
-            (0..8).map(|s| block.group_of(s)).collect::<Vec<_>>(),
-            [0, 0, 0, 0, 1, 1, 1, 1]
-        );
-        let rr = ShardPlacement::round_robin(8, 2);
-        assert_eq!(
-            (0..8).map(|s| rr.group_of(s)).collect::<Vec<_>>(),
-            [0, 1, 0, 1, 0, 1, 0, 1]
-        );
-        // preferred workers stay inside the group band and cycle in it
-        let p = ShardPlacement::contiguous(8, 2);
-        for s in 0..4 {
-            assert!(p.preferred_worker(s, 4) < 2, "group 0 band is workers 0–1");
-        }
-        for s in 4..8 {
-            assert!(p.preferred_worker(s, 4) >= 2, "group 1 band is workers 2–3");
-        }
-        // fewer workers than groups: fall back to g mod workers
-        let wide = ShardPlacement::round_robin(6, 3);
-        for s in 0..6 {
-            assert!(wide.preferred_worker(s, 2) < 2);
-        }
-        // degenerate: single worker
-        assert_eq!(p.preferred_worker(5, 1), 0);
-    }
-
-    #[test]
-    fn detect_always_yields_a_usable_placement() {
-        let p = ShardPlacement::detect(16);
-        assert_eq!(p.shards(), 16);
-        assert!(p.groups() >= 1);
-        for s in 0..16 {
-            assert!(p.group_of(s) < p.groups());
-            assert!(p.preferred_worker(s, 8) < 8);
-        }
-    }
-
-    #[test]
-    fn groups_clamp_to_shard_count() {
-        let p = ShardPlacement::contiguous(2, 16);
-        assert_eq!(p.groups(), 2);
-        assert_eq!(ShardPlacement::round_robin(3, 64).groups(), 3);
     }
 
     #[test]

@@ -1,289 +1,14 @@
-//! The vectorized single-core ingest machinery behind the `simd` feature.
+//! Ingest-backend identification.
 //!
-//! Everything the batched insert paths ([`crate::ReliableSketch::insert_batch`],
+//! The workspace has one ingest backend: scalar Rust. The batched paths
+//! ([`crate::ReliableSketch::insert_batch`],
 //! [`crate::atomic::ConcurrentReliable::insert_batch`] and the flavours
-//! built on them) share lives here: multi-lane hashing of the batch
-//! prefix, the packed-bucket-word prescan, the software-prefetch hints
-//! and the branchless form of the atomic layer step.
-//!
-//! ## Dispatch rule
-//!
-//! The feature flag never forks the *callers* — they always go through
-//! this module, and each helper internally selects the ×4 lane kernel or
-//! the scalar loop on [`ENABLED`] (a `cfg!` constant, so the dead branch
-//! folds away). The scalar branch **is** the fallback CI pins: with the
-//! feature off, `insert_batch` still routes through `layer0_indexes` /
-//! `layer0_prefix`, which then run the very loop the pre-SIMD code ran.
-//!
-//! ## The bit-identity contract
-//!
-//! Every helper is exactly equivalent to its scalar counterpart:
-//!
-//! * lane hashing — same MurmurHash3 arithmetic per lane
-//!   ([`rsk_hash::lanes`] pins this against the scalar functions);
-//! * the prescan (`fp_match_x4`) is only a *hint*: a hit lane retries
-//!   its conclusion under CAS ([`crate::atomic::AtomicBucketArray`]'s
-//!   absorb fast path re-checks the fingerprint on the freshly loaded
-//!   word and falls back to the full Algorithm-1 walk on mismatch);
-//! * `step_word_branchless` computes the same three-branch transition
-//!   as `step_word` with masks instead of jumps (property-tested
-//!   equal below);
-//! * prefetch hints read memory but never change it.
-//!
-//! Items are always *applied* in stream order, so saturation events,
-//! replacement elections and emergency records happen in the same order
-//! as the item loop. `tests/simd_parity.rs` (workspace root) pins the
-//! whole stack differentially against the scalar oracle in both feature
-//! configurations.
-//!
-//! ## Lane layout and prefetch distance
-//!
-//! Batches are processed in 64-item chunks (one stack-resident index /
-//! fingerprint array each, no allocation). Within a chunk, hashing runs
-//! 4 lanes wide (`LANES` = one 128-bit vector of `u32` digests), and
-//! bucket words are touched [`PREFETCH_DISTANCE`] items ahead of the
-//! apply loop — far enough to cover a DRAM round trip at ingest speed,
-//! near enough that 8 · 8-byte words sit comfortably in L1 alongside
-//! the chunk arrays. A "prefetch" is a relaxed atomic load discarded
-//! through [`core::hint::black_box`]: the portable, `unsafe`-free way to
-//! pull the line into cache (the crate forbids `unsafe`, which rules out
-//! `core::arch` prefetch intrinsics).
+//! built on the latter) run the same per-item code as the item loop.
+//! [`backend`] names that backend so benchmark and report provenance
+//! records which ingest code produced a number.
 
-use crate::atomic::{pack, step_word, unpack, COUNT_MAX};
-use rsk_api::Key;
-use rsk_hash::{HashFamily, U64x4};
-
-/// Hash lanes evaluated per step of the batch-prefix loop.
-pub const LANES: usize = rsk_hash::LANES;
-
-/// Whether the vectorized path is compiled in (`--features simd`).
-///
-/// With the feature off every helper in this module takes its scalar
-/// branch — the exact code path the pre-SIMD implementation ran, which
-/// CI tests in both configurations.
-pub const ENABLED: bool = cfg!(feature = "simd");
-
-/// How many items ahead of the apply loop bucket lines are prefetched.
-pub const PREFETCH_DISTANCE: usize = 8;
-
-/// Human-readable name of the active ingest backend (diagnostics,
-/// benches and the throughput figure label their lanes with this).
+/// Human-readable name of the ingest backend (provenance for benches
+/// and reports).
 pub fn backend() -> &'static str {
-    if ENABLED {
-        "lanes-x4"
-    } else {
-        "scalar"
-    }
-}
-
-/// Fill `idx` with the layer-0 bucket index of every key in `items`.
-///
-/// Feature on: four [`HashFamily::index_x4`] lanes at a time with a
-/// scalar tail; feature off: the scalar loop. Both produce identical
-/// indexes for identical inputs.
-#[inline]
-pub(crate) fn layer0_indexes<K: Key>(
-    hashes: &HashFamily,
-    items: &[(K, u64)],
-    width: usize,
-    idx: &mut [usize],
-) {
-    debug_assert_eq!(items.len(), idx.len());
-    let mut s = 0;
-    if ENABLED {
-        while s + LANES <= items.len() {
-            let keys = [items[s].0, items[s + 1].0, items[s + 2].0, items[s + 3].0];
-            idx[s..s + LANES].copy_from_slice(&hashes.index_x4(0, &keys, width));
-            s += LANES;
-        }
-    }
-    for (slot, (k, _)) in idx[s..].iter_mut().zip(&items[s..]) {
-        *slot = hashes.index(0, k, width);
-    }
-}
-
-/// Fill `idx` and `fps` with the layer-0 index *and* the 24-bit bucket
-/// fingerprint of every key in `items` (the atomic flavours' prefix).
-///
-/// The fingerprint digest (`hash32(fp_seed) & FP_MASK`) rides the same
-/// ×4 kernels as the index digest, so the whole prefix of a chunk is two
-/// lane-hash sweeps instead of 2 · n scalar calls.
-#[inline]
-pub(crate) fn layer0_prefix<K: Key>(
-    hashes: &HashFamily,
-    fp_seed: u32,
-    fp_mask: u64,
-    width: usize,
-    items: &[(K, u64)],
-    idx: &mut [usize],
-    fps: &mut [u64],
-) {
-    debug_assert_eq!(items.len(), idx.len());
-    debug_assert_eq!(items.len(), fps.len());
-    let mut s = 0;
-    if ENABLED {
-        while s + LANES <= items.len() {
-            let keys = [items[s].0, items[s + 1].0, items[s + 2].0, items[s + 3].0];
-            idx[s..s + LANES].copy_from_slice(&hashes.index_x4(0, &keys, width));
-            let digests = K::hash32_x4(&keys, fp_seed);
-            for (slot, d) in fps[s..s + LANES].iter_mut().zip(digests) {
-                *slot = d as u64 & fp_mask;
-            }
-            s += LANES;
-        }
-    }
-    for (i, (k, _)) in items.iter().enumerate().skip(s) {
-        idx[i] = hashes.index(0, k, width);
-        fps[i] = k.hash32(fp_seed) as u64 & fp_mask;
-    }
-}
-
-/// Compare the fingerprint field of four packed bucket words against
-/// four candidate fingerprints at once (`u64x4`-style: shift all lanes,
-/// then one lane-wise equality). `shift` is the bit offset of the
-/// fingerprint field within the packed word.
-///
-/// The result is a *hint* for the absorb fast path; staleness is safe
-/// because the CAS that commits an absorb re-checks the fingerprint.
-#[inline]
-pub(crate) fn fp_match_x4(words: [u64; LANES], fps: [u64; LANES], shift: u32) -> [bool; LANES] {
-    U64x4(words).lsr(shift).eq_mask(U64x4(fps))
-}
-
-/// [`step_word`] with the three Algorithm-1 branches folded into
-/// lane-select masks — no data-dependent jumps, which keeps the CAS
-/// retry loop's speculation window clean on mispredict-heavy adversarial
-/// streams. Used by the atomic flavours when [`ENABLED`]; proven
-/// bit-equal to `step_word` by the property test below.
-#[inline]
-pub(crate) fn step_word_branchless(
-    word: u64,
-    fp: u64,
-    value: u64,
-    lambda: u64,
-) -> (u64, u64, bool) {
-    #[inline]
-    fn mask(cond: bool) -> u64 {
-        (cond as u64).wrapping_neg()
-    }
-
-    let (bfp, yes, no) = unpack(word);
-    let votes = no.saturating_add(value);
-    let raised = yes.saturating_add(value);
-    let room = lambda.saturating_sub(no);
-
-    // branch priority mirrors step_word: match > lock > replace > vote
-    let m_match = mask(bfp == fp);
-    let m_lock = mask(votes > lambda && yes > lambda) & !m_match;
-    let m_repl = mask(votes >= yes) & !m_match & !m_lock;
-    let m_vote = !(m_match | m_lock | m_repl);
-
-    let nfp = (m_repl & fp) | (!m_repl & bfp); // match lanes: bfp == fp anyway
-    let nyes = (m_match & raised.min(COUNT_MAX))
-        | (m_lock & yes)
-        | (m_repl & votes.min(COUNT_MAX))
-        | (m_vote & yes);
-    let nno = (m_match & no) | (m_lock & (no + room)) | (m_repl & yes) | (m_vote & votes);
-    // in a lock lane `value > room` (votes exceeded λ), so the wrap never
-    // fires where the mask keeps it
-    let leftover = m_lock & value.wrapping_sub(room);
-    let saturated = (m_match & mask(raised > COUNT_MAX)) | (m_repl & mask(votes > COUNT_MAX)) != 0;
-    (pack(nfp, nyes, nno), leftover, saturated)
-}
-
-/// The layer-step transition the CAS loop applies: branchless when the
-/// feature is on, the branchy original otherwise. Both compute the same
-/// function; the scalar form stays the CI-pinned reference.
-#[inline]
-pub(crate) fn dispatch_step(word: u64, fp: u64, value: u64, lambda: u64) -> (u64, u64, bool) {
-    if ENABLED {
-        step_word_branchless(word, fp, value, lambda)
-    } else {
-        step_word(word, fp, value, lambda)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::atomic::{ERR_MAX, FP_MASK};
-    use proptest::prelude::*;
-    use rsk_api::HashKey;
-
-    #[test]
-    fn backend_reflects_feature() {
-        assert_eq!(ENABLED, cfg!(feature = "simd"));
-        assert_eq!(backend(), if ENABLED { "lanes-x4" } else { "scalar" });
-    }
-
-    #[test]
-    fn fp_match_x4_is_lanewise_equality() {
-        let shift = 40;
-        let words = [1u64 << shift, 2 << shift, (3 << shift) | 77, 4 << shift];
-        assert_eq!(
-            fp_match_x4(words, [1, 9, 3, 9], shift),
-            [true, false, true, false]
-        );
-    }
-
-    #[test]
-    fn layer0_helpers_match_scalar_loops() {
-        let hashes = HashFamily::new(4, 99);
-        let fp_seed = 0x1357_9bdf;
-        let items: Vec<(u64, u64)> = (0..131u64).map(|i| (i.wrapping_mul(0x9e37), i)).collect();
-        for width in [1usize, 7, 1024] {
-            let mut idx = vec![0usize; items.len()];
-            layer0_indexes(&hashes, &items, width, &mut idx);
-            let mut idx2 = vec![0usize; items.len()];
-            let mut fps = vec![0u64; items.len()];
-            layer0_prefix(
-                &hashes, fp_seed, FP_MASK, width, &items, &mut idx2, &mut fps,
-            );
-            for (i, (k, _)) in items.iter().enumerate() {
-                assert_eq!(idx[i], hashes.index(0, k, width));
-                assert_eq!(idx2[i], idx[i]);
-                assert_eq!(fps[i], k.hash32(fp_seed) as u64 & FP_MASK);
-            }
-        }
-    }
-
-    proptest! {
-        /// The branchless step is the same function as the branchy step,
-        /// over the full domain the packed word can reach (including the
-        /// post-merge `NO > λ` states and values far beyond the counters).
-        #[test]
-        fn prop_branchless_step_equals_step_word(
-            bfp in 0..FP_MASK + 1,
-            yes in 0..COUNT_MAX + 1,
-            no in 0..ERR_MAX + 1,
-            fp in 0..FP_MASK + 1,
-            value in any::<u64>(),
-            lambda in 0..ERR_MAX + 1,
-        ) {
-            let word = pack(bfp, yes, no);
-            prop_assert_eq!(
-                step_word_branchless(word, fp, value, lambda),
-                step_word(word, fp, value, lambda)
-            );
-        }
-
-        /// Same equality on the near-diagonal states (fp collisions and
-        /// counter ties) where branch-priority mistakes would hide.
-        #[test]
-        fn prop_branchless_step_on_tied_counters(
-            c in 0..ERR_MAX + 1,
-            delta in 0u64..3,
-            value in 0u64..200,
-            lambda in 1..ERR_MAX + 1,
-            collide in proptest::bool::ANY,
-        ) {
-            let fp = 0xabcd;
-            let bfp = if collide { fp } else { fp ^ 1 };
-            let word = pack(bfp, c.saturating_add(delta).min(COUNT_MAX), c);
-            prop_assert_eq!(
-                step_word_branchless(word, fp, value, lambda),
-                step_word(word, fp, value, lambda)
-            );
-        }
-    }
+    "scalar"
 }

@@ -192,15 +192,7 @@ impl<K: Key> ReliableSketch<K> {
 
     /// Insert and return the full trace (stop layer, hash calls, failure).
     pub fn insert_traced(&mut self, key: &K, value: u64) -> InsertTrace {
-        self.insert_traced_at(key, value, None)
-    }
-
-    /// [`Self::insert_traced`] with an optional precomputed layer-0 bucket
-    /// index — the hook [`Self::insert_batch`] uses to amortize hashing.
-    /// Hash-call accounting is identical either way: a precomputed index
-    /// still cost one evaluation, just in the batch prefix loop.
-    fn insert_traced_at(&mut self, key: &K, value: u64, idx0: Option<usize>) -> InsertTrace {
-        let (trace, passed) = self.insert_passed_at(key, value, idx0);
+        let (trace, passed) = self.insert_passed(key, value);
         // elephant promotion: value cleared the filter (or the sketch is
         // raw) — offer it to the top-K layer *after* the insert landed,
         // so an unmonitored key's claim is seeded from the certified
@@ -216,7 +208,7 @@ impl<K: Key> ReliableSketch<K> {
 
     /// The Algorithm-1 walk; returns the trace together with the value
     /// that cleared the mice filter (0 when fully absorbed — a mouse).
-    fn insert_passed_at(&mut self, key: &K, value: u64, idx0: Option<usize>) -> (InsertTrace, u64) {
+    fn insert_passed(&mut self, key: &K, value: u64) -> (InsertTrace, u64) {
         let mut v = value;
         let mut hash_calls = 0u64;
 
@@ -237,11 +229,7 @@ impl<K: Key> ReliableSketch<K> {
 
         for i in 0..self.geometry.depth() {
             hash_calls += 1;
-            let width = self.geometry.width(i);
-            let j = match (i, idx0) {
-                (0, Some(j)) => j,
-                _ => self.hashes.index(i, key, width),
-            };
+            let j = self.hashes.index(i, key, self.geometry.width(i));
             let lambda = self.geometry.lambda(i);
             let b = &mut self.layers[i][j];
 
@@ -293,51 +281,16 @@ impl<K: Key> ReliableSketch<K> {
         (trace, passed)
     }
 
-    /// Insert a batch of items, amortizing the layer-0 hash over a tight
-    /// precompute loop per 64-item chunk (the dominant hash on mouse-free
-    /// streams, since most items stop in the first layer or two).
-    ///
-    /// Semantically identical to calling [`rsk_api::StreamSummary::insert`]
-    /// per item in order — same buckets, same traces, same stats — so the
-    /// batched and item-at-a-time paths are interchangeable. With a mice
-    /// filter configured, the filter hashes first and absorbs most items,
-    /// so the batch path degrades gracefully to the plain loop there.
-    ///
-    /// With the `simd` feature on, the layer-0 prefix hashes four lanes
-    /// at a time and upcoming bucket lines are software-prefetched
-    /// [`crate::simd::PREFETCH_DISTANCE`] items ahead; items are still
-    /// applied in stream order, so results stay bit-identical to the
-    /// scalar fallback (pinned by `tests/simd_parity.rs`).
+    /// Insert a batch of items in order — exactly the
+    /// [`rsk_api::StreamSummary::insert`] item loop (same buckets, same
+    /// traces, same stats), kept as a convenience that counts failures.
     ///
     /// Returns the number of insertion failures within the batch.
     pub fn insert_batch(&mut self, items: &[(K, u64)]) -> u64 {
-        const CHUNK: usize = 64;
         let mut failed = 0u64;
-        if self.filter.is_some() {
-            for &(k, v) in items {
-                if v > 0 && self.insert_traced_at(&k, v, None).stop == StopLayer::Failed {
-                    failed += 1;
-                }
-            }
-            return failed;
-        }
-        let w0 = self.geometry.width(0);
-        let mut idx0 = [0usize; CHUNK];
-        for chunk in items.chunks(CHUNK) {
-            let n = chunk.len();
-            crate::simd::layer0_indexes(&self.hashes, chunk, w0, &mut idx0[..n]);
-            for (s, &(k, v)) in chunk.iter().enumerate() {
-                if crate::simd::ENABLED && s + crate::simd::PREFETCH_DISTANCE < n {
-                    // safe software prefetch: a discarded read of the
-                    // upcoming bucket line (never a write, so results
-                    // cannot change)
-                    core::hint::black_box(
-                        self.layers[0][idx0[s + crate::simd::PREFETCH_DISTANCE]].yes(),
-                    );
-                }
-                if v > 0 && self.insert_traced_at(&k, v, Some(idx0[s])).stop == StopLayer::Failed {
-                    failed += 1;
-                }
+        for &(k, v) in items {
+            if v > 0 && self.insert_traced(&k, v).stop == StopLayer::Failed {
+                failed += 1;
             }
         }
         failed

@@ -162,7 +162,7 @@ pub trait ContenderInstance {
     fn ingest(&mut self, stream: &[Item<u64>]);
 
     /// Feed a whole stream through the contender's *single-core batched*
-    /// hot path (the SIMD/cache-conscious `insert_batch` machinery),
+    /// path (`insert_batch`; only the atomic flavours amortize hashing),
     /// `batch` items at a time. Returns `false` when the contender has
     /// no batched surface (baselines, the Tofino model) — callers report
     /// the throughput column as unsupported. Probing with an empty

@@ -18,8 +18,7 @@ use rsk_metrics::throughput::time_mpps;
 use rsk_metrics::Table;
 use rsk_stream::Dataset;
 
-/// Batch size of the single-core batched-ingest column (matches the
-/// `simd_ingest` bench's largest lane).
+/// Batch size of the single-core batched-ingest column.
 const BATCH: usize = 1024;
 
 /// Figure 10: throughput of all contenders.
@@ -71,8 +70,8 @@ pub fn fig10(ctx: &ExpContext) -> Vec<Table> {
         if sink == u64::MAX {
             eprintln!("improbable checksum {sink}");
         }
-        // the single-core batched hot path (SIMD lane hashing + prescan +
-        // prefetch when built with `--features simd`), on a fresh twin so
+        // the single-core batched path (the atomic flavours' per-chunk
+        // hash prefix; a plain item loop elsewhere), on a fresh twin so
         // neither measurement pollutes the other; "—" where the
         // contender has no batched surface
         let mut twin = c.build(mem, ctx.seed);

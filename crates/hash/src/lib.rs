@@ -29,13 +29,11 @@
 
 mod crc;
 mod fnv;
-pub mod lanes;
 mod murmur3;
 mod splitmix;
 
 pub use crc::{crc32, crc32_seeded};
 pub use fnv::fnv1a64;
-pub use lanes::{murmur3_u32_x4, murmur3_u64_x4, splitmix64_x4, U32x4, U64x4, LANES};
 pub use murmur3::{murmur3_x64_128, murmur3_x86_32};
 pub use splitmix::{splitmix64, SplitMix64};
 
@@ -51,27 +49,10 @@ pub trait HashKey: Copy + Eq + core::hash::Hash + core::fmt::Debug {
 
     /// 64-bit digest of the key under `seed`.
     fn hash64(&self, seed: u32) -> u64;
-
-    /// 32-bit digests of four keys under `seed` at once.
-    ///
-    /// **Bit-identical to four [`Self::hash32`] calls** — the multi-lane
-    /// kernels in [`lanes`] perform the same arithmetic per lane, so the
-    /// batched sketch hot path built on this method cannot diverge from
-    /// the scalar item loop. The default is the scalar loop itself; the
-    /// integer keys the sketches use override it with the ×4 kernels.
-    #[inline]
-    fn hash32_x4(keys: &[Self; lanes::LANES], seed: u32) -> [u32; lanes::LANES] {
-        [
-            keys[0].hash32(seed),
-            keys[1].hash32(seed),
-            keys[2].hash32(seed),
-            keys[3].hash32(seed),
-        ]
-    }
 }
 
 macro_rules! impl_hashkey_int {
-    ($($t:ty => $x4:path),*) => {$(
+    ($($t:ty),*) => {$(
         impl HashKey for $t {
             #[inline]
             fn hash32(&self, seed: u32) -> u32 {
@@ -81,19 +62,11 @@ macro_rules! impl_hashkey_int {
             fn hash64(&self, seed: u32) -> u64 {
                 murmur3_x64_128(&self.to_le_bytes(), seed) as u64
             }
-            #[inline]
-            fn hash32_x4(keys: &[Self; lanes::LANES], seed: u32) -> [u32; lanes::LANES] {
-                $x4(*keys, seed)
-            }
         }
     )*};
 }
 
-impl_hashkey_int!(
-    u32 => lanes::murmur3_u32_x4,
-    u64 => lanes::murmur3_u64_x4,
-    u128 => lanes::murmur3_u128_x4
-);
+impl_hashkey_int!(u32, u64, u128);
 
 impl HashKey for [u8; 13] {
     // 13-byte keys are the classic network 5-tuple (src, dst, sport, dport,
@@ -177,22 +150,6 @@ impl HashFamily {
         ((h * width as u64) >> 32) as usize
     }
 
-    /// Four [`Self::index`] lookups at once through the ×4 lane kernels.
-    ///
-    /// Bit-identical to four scalar calls (see [`HashKey::hash32_x4`]):
-    /// same digests, same multiply-shift range reduction per lane.
-    #[inline]
-    pub fn index_x4<K: HashKey>(
-        &self,
-        i: usize,
-        keys: &[K; lanes::LANES],
-        width: usize,
-    ) -> [usize; lanes::LANES] {
-        debug_assert!(width > 0, "index into empty array");
-        let h = K::hash32_x4(keys, self.seeds[i]);
-        core::array::from_fn(|l| ((h[l] as u64 * width as u64) >> 32) as usize)
-    }
-
     /// A ±1 sign for `key` under the `i`-th function (used by Count sketch).
     #[inline]
     pub fn sign<K: HashKey>(&self, i: usize, key: &K) -> i64 {
@@ -269,46 +226,6 @@ mod tests {
         assert_eq!(k.hash32(9), murmur3_x86_32(&k.to_le_bytes(), 9));
         let k32: u32 = 0xcafe_babe;
         assert_eq!(k32.hash32(9), murmur3_x86_32(&k32.to_le_bytes(), 9));
-    }
-
-    #[test]
-    fn hash32_x4_matches_scalar_for_all_key_types() {
-        let seed = 0xa5a5_5a5a;
-        let k64: [u64; 4] = [0, 1, 0xdead_beef_cafe_f00d, u64::MAX];
-        assert_eq!(
-            u64::hash32_x4(&k64, seed),
-            [0, 1, 2, 3].map(|l| k64[l].hash32(seed))
-        );
-        let k32: [u32; 4] = [9, 0xffff_ffff, 0x1234_5678, 42];
-        assert_eq!(
-            u32::hash32_x4(&k32, seed),
-            [0, 1, 2, 3].map(|l| k32[l].hash32(seed))
-        );
-        let k128: [u128; 4] = [7, u128::MAX, 1 << 100, 0x0102_0304_0506_0708];
-        assert_eq!(
-            u128::hash32_x4(&k128, seed),
-            [0, 1, 2, 3].map(|l| k128[l].hash32(seed))
-        );
-        // the 13-byte tuple key rides the default (scalar-loop) impl
-        let kt: [[u8; 13]; 4] = [[1; 13], [2; 13], [3; 13], [0; 13]];
-        assert_eq!(
-            <[u8; 13]>::hash32_x4(&kt, seed),
-            [0, 1, 2, 3].map(|l| kt[l].hash32(seed))
-        );
-    }
-
-    #[test]
-    fn index_x4_matches_scalar_index() {
-        let f = HashFamily::new(4, 1234);
-        for w in [1usize, 2, 61, 1024, 1_000_003] {
-            for base in (0..4096u64).step_by(4) {
-                let keys = [base, base + 1, base + 2, base + 3];
-                let got = f.index_x4(1, &keys, w);
-                for l in 0..4 {
-                    assert_eq!(got[l], f.index(1, &keys[l], w));
-                }
-            }
-        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod prelude {
     };
     pub use rsk_core::{
         merge_all, ConcurrentReliable, EpochedConcurrent, EpochedReliable, ReliableConfig,
-        ReliableSketch, ShardPlacement, ShardedReliable, TopKSummary,
+        ReliableSketch, ShardedReliable, TopKSummary,
     };
     pub use rsk_core::{SketchSnapshot, SlimShards, SlimSummary};
     pub use rsk_stream::{Dataset, GroundTruth, Item};

@@ -1,18 +1,15 @@
-//! SIMD ≡ scalar, bit-for-bit (ISSUE 9).
+//! Batched ingest ≡ item loop, bit-for-bit.
 //!
-//! The `simd` feature vectorizes the batched ingest prefix (×4 lane
-//! hashing, packed-word prescan, software prefetch, branchless CAS
-//! step). Its non-negotiable contract is that results are **bit-identical
-//! to the scalar item loop** — same answers, same certified intervals,
-//! same filter state, same emergency entries, same stats accounting.
-//! This suite pins exactly that, with the same discipline as
+//! Every flavour's `insert_batch` / `ingest_batched` must give results
+//! **bit-identical to the one-item-at-a-time loop** — same answers, same
+//! certified intervals, same filter state, same emergency entries, same
+//! stats accounting. The only batched path that does real work is
+//! `ConcurrentReliable::insert_batch`'s per-chunk fingerprint + layer-0
+//! prefix (which `ShardedReliable` and `EpochedConcurrent` forward to);
+//! the sequential `ReliableSketch::insert_batch` is a thin item loop.
+//! This suite pins both, with the same discipline as
 //! `tests/work_stealing.rs`: every batched flavour is compared against a
 //! sequential one-item-at-a-time oracle over the same stream.
-//!
-//! The suite is meaningful in *both* feature configurations — with
-//! `--features simd` it proves the vectorized path equals the item loop;
-//! without, it proves the scalar fallback (the same call graph, scalar
-//! branches) cannot rot away from the item loop. CI runs both legs.
 //! Property-test depth honors `PROPTEST_CASES` (the suites below use the
 //! default proptest config, which reads it).
 
@@ -101,8 +98,8 @@ proptest! {
     }
 
     /// `ConcurrentReliable`: batched ingest ≡ `insert_concurrent` loop,
-    /// including the top-K layer (whose presence must disable the
-    /// prescan fast path without changing anything observable).
+    /// with and without the top-K layer and the mice filter in front of
+    /// the per-chunk hash prefix.
     #[test]
     fn prop_concurrent_batched_equals_item_loop(
         ops in proptest::collection::vec((0u64..300, 0u64..6), 1..1200),
@@ -262,7 +259,7 @@ fn colliding_keys(seed: u64, width: usize, n: usize) -> Vec<u64> {
 /// Adversarial near-collision stream: heavy values concentrated on one
 /// layer-0 bucket. Saturation ordering, lock diversions and emergency
 /// entries must all match the item loop exactly — this is the stream
-/// where an out-of-order or stale-prescan bug would surface.
+/// where an out-of-order or stale-prefix bug would surface.
 #[test]
 fn adversarial_near_collisions_stay_bit_identical() {
     let cfg = config(16 * 1024, 23, true);
@@ -341,14 +338,8 @@ fn ingest_batched_partial_flush_on_concurrent_flavours() {
     }
 }
 
-/// The backend the build compiled in matches the cargo feature, so the
-/// CI matrix legs actually exercise both configurations.
+/// Provenance names the one ingest backend there is.
 #[test]
-fn backend_matches_feature_flag() {
-    assert_eq!(simd::ENABLED, cfg!(feature = "simd"));
-    assert_eq!(
-        simd::backend(),
-        if simd::ENABLED { "lanes-x4" } else { "scalar" }
-    );
-    const { assert!(simd::LANES >= 2 && simd::PREFETCH_DISTANCE >= simd::LANES) };
+fn backend_is_scalar() {
+    assert_eq!(simd::backend(), "scalar");
 }
