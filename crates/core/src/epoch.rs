@@ -9,7 +9,7 @@
 //! The paper's switch deployment (§6.5.3) reads the sketch out per
 //! interval in exactly this style.
 //!
-//! [`EpochedReliable`] packages the scheme:
+//! [`Epoched`] packages the scheme once, over either sketch flavour:
 //!
 //! * [`insert`](rsk_api::StreamSummary::insert) feeds the active
 //!   generation;
@@ -17,18 +17,23 @@
 //!   window** — the frozen epoch plus the active partial epoch — by
 //!   summing both generations' answers and MPEs (both certified, so the
 //!   sum is);
-//! * [`rotate`](EpochedReliable::rotate) retires the frozen generation
+//! * [`rotate`](Epoched::rotate) retires the frozen generation
 //!   (returning it for archival), freezes the active one, and starts a
 //!   fresh epoch.
+//!
+//! Every window aggregate (point query, failures, MPE ceiling, memory,
+//! top-K, subpopulation weight, clear) is one fold over the visible
+//! generations.
 //!
 //! The guarantee carries per window: if neither visible generation had
 //! an insertion failure, every key's window estimate is within `2Λ`
 //! (each generation contributes at most `Λ`), and the reported MPE is
 //! always an honest per-key certificate.
 //!
-//! [`EpochedConcurrent`] is the lock-free twin: the same two-generation
-//! scheme over [`ConcurrentReliable`] sketches, so any number of producer
-//! threads feed the active generation through `&self` while the frozen
+//! [`EpochedReliable`] is the window over sequential [`ReliableSketch`]
+//! generations. [`EpochedConcurrent`] is the lock-free one over
+//! [`ConcurrentReliable`] generations: any number of producer threads
+//! feed the active generation through `&self` while the frozen
 //! generation serves **wait-free reads** — a sealed generation's atomic
 //! words are never CASed again, so window queries against it are plain
 //! loads with no retry loop (and no lock at all unless the generation
@@ -53,8 +58,11 @@
 //! assert!(window.query_with_error(&7u64).contains(50));
 //! ```
 
+use std::borrow::Cow;
+
 use crate::atomic::ConcurrentReliable;
 use crate::config::{ReliableConfig, ReliableConfigBuilder};
+use crate::generation::Generation;
 use crate::sketch::ReliableSketch;
 use crate::topk::TopKSummary;
 use rsk_api::{
@@ -109,21 +117,84 @@ fn window_certified_top_k<K: Key>(
     }
 }
 
-/// Two-generation rotating window over ReliableSketches.
+/// Two-generation rotating window over sequential [`ReliableSketch`]es.
+pub type EpochedReliable<K> = Epoched<ReliableSketch<K>>;
+
+/// Two-generation rotating window over lock-free
+/// [`ConcurrentReliable`] sketches: shared-`&self` ingestion into the
+/// active epoch, wait-free reads of the sealed one.
+///
+/// Rotation is the only exclusive (`&mut`) operation — quiesce producers
+/// at the epoch boundary (network pipelines do this anyway: the
+/// measurement interval ends, the readout runs, the next interval
+/// starts). Between rotations the data path is exactly
+/// [`ConcurrentReliable`]'s: CAS-only bucket updates, no mutex, the mice
+/// filter running lock-free in front when configured.
+///
+/// Retired generations can be archived or folded into a long-horizon
+/// roll-up via [`rsk_api::Merge`].
+///
+/// # Examples
+///
+/// ```
+/// use rsk_core::epoch::EpochedConcurrent;
+/// use rsk_api::{ErrorSensing, StreamSummary};
+///
+/// let mut window = EpochedConcurrent::<u64>::builder()
+///     .memory_bytes(64 * 1024)
+///     .error_tolerance(25)
+///     .build_epoched_concurrent();
+///
+/// // epoch 0: four producers through a shared reference
+/// std::thread::scope(|s| {
+///     for _ in 0..4 {
+///         let w = &window;
+///         s.spawn(move || {
+///             for _ in 0..25u64 {
+///                 w.insert_shared(&7u64, 1);
+///             }
+///         });
+///     }
+/// });
+/// window.rotate(); // seal epoch 0; reads of it are now wait-free
+/// window.insert_shared(&7u64, 50);
+/// assert!(window.query_with_error(&7u64).contains(150)); // both epochs
+///
+/// let retired = window.rotate(); // epoch 0 leaves the window
+/// assert!(retired.is_some());
+/// assert!(window.query_with_error(&7u64).contains(50));
+/// ```
+pub type EpochedConcurrent<K> = Epoched<ConcurrentReliable<K>>;
+
+/// Two-generation rotating window over one sketch flavour — use it as
+/// [`EpochedReliable`] or [`EpochedConcurrent`].
 #[derive(Debug, Clone)]
-pub struct EpochedReliable<K: Key> {
-    active: ReliableSketch<K>,
-    frozen: Option<ReliableSketch<K>>,
+pub struct Epoched<G: Generation> {
+    active: G,
+    frozen: Option<G>,
     config: ReliableConfig,
     epoch: u64,
     /// Top-K capacity carried across rotations: each fresh active
     /// generation is built with its own summary of this capacity.
     top_k: Option<usize>,
+    /// The sealed generation's top-K summary, **materialized once at
+    /// rotation** while the window is exclusively borrowed, for flavours
+    /// whose summary sits behind a mutex: sealed-epoch top-K reads are
+    /// plain walks of this snapshot — wait-free, no mutex — matching the
+    /// sealed generation's wait-free bucket reads. Always `None` on the
+    /// sequential window, which reads the sealed summary in place.
+    frozen_topk: Option<TopKSummary<G::Key>>,
+    /// Epoch index at the last replication cut (see
+    /// [`crate::replicate`]): `None` until the window first ships a
+    /// delta, after which deltas describe "since epoch `cut_epoch`".
+    #[cfg(feature = "serde")]
+    cut_epoch: Option<u64>,
 }
 
-impl<K: Key> EpochedReliable<K> {
+impl<G: Generation> Epoched<G> {
     /// Start building with paper-default parameters (finish with
-    /// [`ReliableConfigBuilder::build_epoched`]).
+    /// [`ReliableConfigBuilder::build_epoched`] or
+    /// [`ReliableConfigBuilder::build_epoched_concurrent`]).
     pub fn builder() -> ReliableConfigBuilder {
         ReliableConfig::builder()
     }
@@ -131,14 +202,19 @@ impl<K: Key> EpochedReliable<K> {
     /// Build from a validated configuration; both generations use it.
     ///
     /// # Panics
-    /// Panics if the configuration fails validation.
+    /// Panics if the configuration fails validation, or, for
+    /// [`EpochedConcurrent`], if `Λ` exceeds the packed atomic error
+    /// field (see [`ConcurrentReliable::new`]).
     pub fn new(config: ReliableConfig) -> Self {
         Self {
-            active: ReliableSketch::new(config.clone()),
+            active: G::new(config.clone()),
             frozen: None,
             config,
             epoch: 0,
             top_k: None,
+            frozen_topk: None,
+            #[cfg(feature = "serde")]
+            cut_epoch: None,
         }
     }
 
@@ -172,62 +248,86 @@ impl<K: Key> EpochedReliable<K> {
     }
 
     /// The generation currently absorbing inserts.
-    pub fn active(&self) -> &ReliableSketch<K> {
+    pub fn active(&self) -> &G {
         &self.active
     }
 
-    /// The sealed previous epoch, if one exists.
-    pub fn frozen(&self) -> Option<&ReliableSketch<K>> {
+    /// The sealed previous epoch, if one exists (wait-free to query on
+    /// the concurrent window).
+    pub fn frozen(&self) -> Option<&G> {
         self.frozen.as_ref()
+    }
+
+    /// The visible generations: the active one, then the frozen one if
+    /// it exists.
+    pub(crate) fn generations(&self) -> impl Iterator<Item = &G> {
+        core::iter::once(&self.active).chain(self.frozen.as_ref())
     }
 
     /// Seal the active epoch and start a new one.
     ///
     /// The previously frozen generation — now outside the visible window —
     /// is returned so callers can archive or further aggregate it (e.g.
-    /// [`rsk_api::Merge`] it into a long-horizon roll-up).
-    pub fn rotate(&mut self) -> Option<ReliableSketch<K>> {
-        let mut fresh = ReliableSketch::new(self.config.clone());
+    /// [`rsk_api::Merge`] it into a long-horizon roll-up). Exclusive:
+    /// concurrent producers must be quiescent across the call (the
+    /// borrow checker enforces it for scoped threads).
+    pub fn rotate(&mut self) -> Option<G> {
+        let mut fresh = G::new(self.config.clone());
         if let Some(capacity) = self.top_k {
             fresh.enable_top_k(capacity);
         }
         let sealed = core::mem::replace(&mut self.active, fresh);
+        // A summary the sealed generation can only hand out as a clone
+        // (read under its mutex) is kept, so sealed top-K reads take no
+        // lock; a borrowed one is read in place.
+        self.frozen_topk = match sealed.top_k_view() {
+            Some(Cow::Owned(tk)) => Some(tk),
+            _ => None,
+        };
         self.epoch += 1;
         self.frozen.replace(sealed)
     }
 
     /// Insertion failures across the visible window (active + frozen).
     pub fn insertion_failures(&self) -> u64 {
-        self.active.insertion_failures()
-            + self
-                .frozen
-                .as_ref()
-                .map_or(0, ReliableSketch::insertion_failures)
+        self.generations().map(G::insertion_failures).sum()
     }
 
-    /// Worst-case MPE over the window: one `Λ` ceiling per visible
-    /// generation (invalid if a generation was merged — see
-    /// [`ReliableSketch::mpe_ceiling`]).
+    /// Worst-case MPE over the window: one per-generation ceiling per
+    /// visible generation (data-dependent if a generation was merged —
+    /// see [`ReliableSketch::mpe_ceiling`]).
     pub fn mpe_ceiling(&self) -> u64 {
-        let per_gen = self.active.mpe_ceiling();
-        if self.frozen.is_some() {
-            2 * per_gen
-        } else {
-            per_gen
+        self.generations().map(G::mpe_ceiling).sum()
+    }
+
+    /// How far a window answer may trail the window truth while
+    /// producers race: the active generation's contention undershoot
+    /// bound once per visible generation (see
+    /// [`rsk_api::ConcurrentErrorSensing`]). `0` on the sequential
+    /// window. Every window answer that reports a `slack` reports this.
+    pub fn contention_slack(&self) -> u64 {
+        let generations = 1 + u64::from(self.frozen.is_some());
+        self.active.contention_slack().saturating_mul(generations)
+    }
+
+    /// The sealed generation's top-K summary: the rotation-time snapshot
+    /// where [`Self::rotate`] took one, the generation's own otherwise.
+    pub(crate) fn frozen_top_k_view(&self) -> Option<Cow<'_, TopKSummary<G::Key>>> {
+        match &self.frozen_topk {
+            Some(tk) => Some(Cow::Borrowed(tk)),
+            None => self.frozen.as_ref()?.top_k_view(),
         }
     }
+}
 
+impl<K: Key> EpochedReliable<K> {
     /// Heavy hitters of the visible window: candidates from either
     /// generation whose *window* estimate reaches `threshold`, sorted by
     /// estimate descending.
     pub fn heavy_hitters(&self, threshold: u64) -> Vec<(K, Estimate)> {
         let mut seen = std::collections::HashSet::new();
         let mut out = Vec::new();
-        let candidates = self
-            .active
-            .candidates()
-            .into_iter()
-            .chain(self.frozen.iter().flat_map(|f| f.candidates()));
+        let candidates = self.generations().flat_map(ReliableSketch::candidates);
         for (k, _) in candidates {
             if seen.insert(k) {
                 let est = self.query_with_error(&k);
@@ -241,20 +341,22 @@ impl<K: Key> EpochedReliable<K> {
     }
 }
 
-impl<K: Key> StreamSummary<K> for EpochedReliable<K> {
+impl<G: Generation> StreamSummary<G::Key> for Epoched<G> {
     #[inline]
-    fn insert(&mut self, key: &K, value: u64) {
+    fn insert(&mut self, key: &G::Key, value: u64) {
         self.active.insert(key, value);
     }
 
     #[inline]
-    fn query(&self, key: &K) -> u64 {
+    fn query(&self, key: &G::Key) -> u64 {
         self.query_with_error(key).value
     }
 }
 
-impl<K: Key> ErrorSensing<K> for EpochedReliable<K> {
-    fn query_with_error(&self, key: &K) -> Estimate {
+impl<G: Generation> ErrorSensing<G::Key> for Epoched<G> {
+    /// Sum the visible generations' certified answers; each interval is
+    /// certified, so the sum is.
+    fn query_with_error(&self, key: &G::Key) -> Estimate {
         let mut est = self.active.query_with_error(key);
         if let Some(frozen) = &self.frozen {
             let old = frozen.query_with_error(key);
@@ -265,27 +367,32 @@ impl<K: Key> ErrorSensing<K> for EpochedReliable<K> {
     }
 }
 
-impl<K: Key> MemoryFootprint for EpochedReliable<K> {
+impl<G: Generation> MemoryFootprint for Epoched<G> {
     fn memory_bytes(&self) -> usize {
-        self.active.memory_bytes()
+        self.generations()
+            .map(MemoryFootprint::memory_bytes)
+            .sum::<usize>()
             + self
-                .frozen
+                .frozen_topk
                 .as_ref()
-                .map_or(0, MemoryFootprint::memory_bytes)
+                .map_or(0, TopKSummary::memory_bytes)
     }
 }
 
-impl<K: Key> TopK<K> for EpochedReliable<K> {
+impl<G: Generation> TopK<G::Key> for Epoched<G> {
     /// Certified heavy hitters of the visible window: each generation's
     /// monitored elephants, re-answered with the window estimate (so
     /// `count`/`error` cover both epochs), with unmonitored keys charged
-    /// the sum of the generations' miss bounds.
-    fn certified_top_k(&self, k: usize) -> CertifiedTopK<K> {
+    /// the sum of the generations' miss bounds. On the concurrent window
+    /// the sealed generation's candidates come from the rotation-time
+    /// snapshot (no lock) and the active summary is cloned under its
+    /// promotion mutex (elephant-rate traffic only).
+    fn certified_top_k(&self, k: usize) -> CertifiedTopK<G::Key> {
         window_certified_top_k(
             k,
-            self.active.top_k_summary(),
+            self.active.top_k_view().as_deref(),
             self.frozen.is_some(),
-            self.frozen.as_ref().and_then(ReliableSketch::top_k_summary),
+            self.frozen_top_k_view().as_deref(),
             |key| self.query_with_error(key),
         )
     }
@@ -295,19 +402,24 @@ impl<K: Key> TopK<K> for EpochedReliable<K> {
     }
 }
 
-impl<K: Key> Algorithm for EpochedReliable<K> {
+impl<G: Generation> Algorithm for Epoched<G> {
     fn name(&self) -> String {
-        "Ours(Epoched)".into()
+        G::WINDOW_NAME.into()
     }
 }
 
-impl<K: Key> Clear for EpochedReliable<K> {
+impl<G: Generation> Clear for Epoched<G> {
     /// Drop both generations and restart at epoch 0 (a configured top-K
     /// layer stays enabled, with an emptied summary).
     fn clear(&mut self) {
         self.active.clear();
         self.frozen = None;
+        self.frozen_topk = None;
         self.epoch = 0;
+        #[cfg(feature = "serde")]
+        {
+            self.cut_epoch = None;
+        }
     }
 }
 
@@ -323,142 +435,13 @@ impl ReliableConfigBuilder {
     }
 }
 
-/// Two-generation rotating window over lock-free
-/// [`ConcurrentReliable`] sketches: shared-`&self` ingestion into the
-/// active epoch, wait-free reads of the sealed one.
-///
-/// Rotation is the only exclusive (`&mut`) operation — quiesce producers
-/// at the epoch boundary (network pipelines do this anyway: the
-/// measurement interval ends, the readout runs, the next interval
-/// starts). Between rotations the data path is exactly
-/// [`ConcurrentReliable`]'s: CAS-only bucket updates, no mutex, the mice
-/// filter running lock-free in front when configured.
-///
-/// Retired generations can be archived or folded into a long-horizon
-/// roll-up via [`rsk_api::Merge`], mirroring [`EpochedReliable::rotate`].
-///
-/// # Examples
-///
-/// ```
-/// use rsk_core::epoch::EpochedConcurrent;
-/// use rsk_api::{ErrorSensing, StreamSummary};
-///
-/// let mut window = EpochedConcurrent::<u64>::builder()
-///     .memory_bytes(64 * 1024)
-///     .error_tolerance(25)
-///     .build_epoched_concurrent();
-///
-/// // epoch 0: four producers through a shared reference
-/// std::thread::scope(|s| {
-///     for _ in 0..4 {
-///         let w = &window;
-///         s.spawn(move || {
-///             for _ in 0..25u64 {
-///                 w.insert_shared(&7u64, 1);
-///             }
-///         });
-///     }
-/// });
-/// window.rotate(); // seal epoch 0; reads of it are now wait-free
-/// window.insert_shared(&7u64, 50);
-/// assert!(window.query_with_error(&7u64).contains(150)); // both epochs
-///
-/// let retired = window.rotate(); // epoch 0 leaves the window
-/// assert!(retired.is_some());
-/// assert!(window.query_with_error(&7u64).contains(50));
-/// ```
-#[derive(Debug)]
-pub struct EpochedConcurrent<K: Key> {
-    active: ConcurrentReliable<K>,
-    frozen: Option<ConcurrentReliable<K>>,
-    config: ReliableConfig,
-    epoch: u64,
-    /// Top-K capacity carried across rotations (see
-    /// [`Self::enable_top_k`]).
-    top_k: Option<usize>,
-    /// The sealed generation's top-K summary, **materialized once at
-    /// rotation** while the window is exclusively borrowed: sealed-epoch
-    /// top-K reads are plain walks of this snapshot — wait-free, no
-    /// mutex — matching the sealed generation's wait-free bucket reads.
-    frozen_topk: Option<TopKSummary<K>>,
-    /// Epoch index at the last replication cut (see
-    /// [`crate::replicate`]): `None` until the window first ships a
-    /// delta, after which deltas describe "since epoch `cut_epoch`".
-    #[cfg(feature = "serde")]
-    cut_epoch: Option<u64>,
-}
-
 impl<K: Key> EpochedConcurrent<K> {
-    /// Start building with paper-default parameters (finish with
-    /// [`ReliableConfigBuilder::build_epoched_concurrent`]).
-    pub fn builder() -> ReliableConfigBuilder {
-        ReliableConfig::builder()
-    }
-
-    /// Build from a validated configuration; both generations use it.
-    ///
-    /// # Panics
-    /// Panics if the configuration fails validation, or if `Λ` exceeds
-    /// the packed atomic error field (see
-    /// [`ConcurrentReliable::new`]).
-    pub fn new(config: ReliableConfig) -> Self {
-        Self {
-            active: ConcurrentReliable::new(config.clone()),
-            frozen: None,
-            config,
-            epoch: 0,
-            top_k: None,
-            frozen_topk: None,
-            #[cfg(feature = "serde")]
-            cut_epoch: None,
-        }
-    }
-
-    /// Attach an error-certified top-K layer of `capacity` slots to the
-    /// window (see [`EpochedReliable::enable_top_k`]): the active
-    /// generation tracks its elephants behind a promotion-path mutex,
-    /// every future generation starts with a fresh summary of the same
-    /// capacity, and rotation materializes the sealed generation's
-    /// summary for wait-free sealed-epoch reads
-    /// ([`Self::frozen_top_k`]).
-    pub fn enable_top_k(&mut self, capacity: usize) {
-        self.top_k = Some(capacity.max(1));
-        self.active.enable_top_k(capacity);
-    }
-
-    /// Builder-style [`Self::enable_top_k`].
-    #[must_use]
-    pub fn with_top_k(mut self, capacity: usize) -> Self {
-        self.enable_top_k(capacity);
-        self
-    }
-
     /// The sealed generation's top-K summary, snapshotted at rotation.
     /// Reading it takes no lock at all — the snapshot is immutable until
     /// the next exclusive rotation — so sealed-epoch top-K readout is
     /// wait-free, like the sealed generation's bucket reads.
     pub fn frozen_top_k(&self) -> Option<&TopKSummary<K>> {
         self.frozen_topk.as_ref()
-    }
-
-    /// Index of the currently active epoch (starts at 0, +1 per rotation).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The configuration shared by both generations.
-    pub fn config(&self) -> &ReliableConfig {
-        &self.config
-    }
-
-    /// The generation currently absorbing inserts.
-    pub fn active(&self) -> &ConcurrentReliable<K> {
-        &self.active
-    }
-
-    /// The sealed previous epoch, if one exists (wait-free to query).
-    pub fn frozen(&self) -> Option<&ConcurrentReliable<K>> {
-        self.frozen.as_ref()
     }
 
     // ---- crate-internal access for the replication layer ----
@@ -537,50 +520,11 @@ impl<K: Key> EpochedConcurrent<K> {
         self.active.insert_batch(items);
     }
 
-    /// Seal the active epoch and start a new one.
-    ///
-    /// The previously frozen generation — now outside the visible window —
-    /// is returned so callers can archive it or [`rsk_api::Merge`] it
-    /// into a long-horizon roll-up. Exclusive: producers must be
-    /// quiescent across the call (the borrow checker enforces it for
-    /// scoped threads).
-    pub fn rotate(&mut self) -> Option<ConcurrentReliable<K>> {
-        let mut fresh = ConcurrentReliable::new(self.config.clone());
-        if let Some(capacity) = self.top_k {
-            fresh.enable_top_k(capacity);
-        }
-        let sealed = core::mem::replace(&mut self.active, fresh);
-        self.frozen_topk = sealed.top_k_summary();
-        self.epoch += 1;
-        self.frozen.replace(sealed)
-    }
-
-    /// Insertion failures across the visible window (active + frozen).
-    pub fn insertion_failures(&self) -> u64 {
-        self.active.insertion_failures()
-            + self
-                .frozen
-                .as_ref()
-                .map_or(0, ConcurrentReliable::insertion_failures)
-    }
-
-    /// Worst-case MPE over the window: one per-generation ceiling per
-    /// visible generation (data-dependent if a generation was merged).
-    pub fn mpe_ceiling(&self) -> u64 {
-        let per_gen = self.active.mpe_ceiling();
-        if self.frozen.is_some() {
-            2 * per_gen
-        } else {
-            per_gen
-        }
-    }
-
     /// Contention slack of the active generation (the documented
     /// `(arrays − 1) × threshold` undershoot bound of the mice filter
     /// under racing same-key writers; `0` without a filter). A window
     /// query can trail the window truth by at most one slack per visible
-    /// generation while producers race — see
-    /// [`rsk_api::ConcurrentErrorSensing`].
+    /// generation while producers race — [`Self::contention_slack`].
     pub fn contention_undershoot_bound(&self) -> u64 {
         self.active.contention_undershoot_bound()
     }
@@ -602,37 +546,10 @@ impl<K: Key> EpochedConcurrent<K> {
     /// Propagates the [`MergeError`] of the underlying
     /// [`ConcurrentReliable`] merge (mismatched shape or seeds).
     pub fn merge_window_from(&mut self, other: &Self) -> Result<(), MergeError> {
-        self.active.merge(&other.active)?;
-        if let Some(frozen) = &other.frozen {
-            self.active.merge(frozen)?;
+        for generation in other.generations() {
+            self.active.merge(generation)?;
         }
         Ok(())
-    }
-}
-
-impl<K: Key> StreamSummary<K> for EpochedConcurrent<K> {
-    #[inline]
-    fn insert(&mut self, key: &K, value: u64) {
-        self.insert_shared(key, value);
-    }
-
-    #[inline]
-    fn query(&self, key: &K) -> u64 {
-        self.query_with_error(key).value
-    }
-}
-
-impl<K: Key> ErrorSensing<K> for EpochedConcurrent<K> {
-    /// Sum both visible generations' certified answers; each interval is
-    /// certified, so the sum is.
-    fn query_with_error(&self, key: &K) -> Estimate {
-        let mut est = self.active.query_with_error(key);
-        if let Some(frozen) = &self.frozen {
-            let old = frozen.query_with_error(key);
-            est.value += old.value;
-            est.max_possible_error += old.max_possible_error;
-        }
-        est
     }
 }
 
@@ -665,63 +582,6 @@ impl<K: Key + Send + Sync> ConcurrentSummary<K> for EpochedConcurrent<K> {
     }
 }
 
-impl<K: Key> TopK<K> for EpochedConcurrent<K> {
-    /// Certified heavy hitters of the visible window. The sealed
-    /// generation's candidates come from the rotation-time snapshot
-    /// ([`Self::frozen_top_k`]) — no lock; the active generation's
-    /// summary is cloned under its promotion mutex (elephant-rate
-    /// traffic only). Every candidate is re-answered with the window
-    /// estimate so `count`/`error` cover both epochs.
-    fn certified_top_k(&self, k: usize) -> CertifiedTopK<K> {
-        window_certified_top_k(
-            k,
-            self.active.top_k_summary().as_ref(),
-            self.frozen.is_some(),
-            self.frozen_topk.as_ref(),
-            |key| self.query_with_error(key),
-        )
-    }
-
-    fn top_k_capacity(&self) -> Option<usize> {
-        self.top_k
-    }
-}
-
-impl<K: Key> MemoryFootprint for EpochedConcurrent<K> {
-    fn memory_bytes(&self) -> usize {
-        self.active.memory_bytes()
-            + self
-                .frozen
-                .as_ref()
-                .map_or(0, MemoryFootprint::memory_bytes)
-            + self
-                .frozen_topk
-                .as_ref()
-                .map_or(0, TopKSummary::memory_bytes)
-    }
-}
-
-impl<K: Key> Algorithm for EpochedConcurrent<K> {
-    fn name(&self) -> String {
-        "OursAtomic(Epoched)".into()
-    }
-}
-
-impl<K: Key> Clear for EpochedConcurrent<K> {
-    /// Drop both generations and restart at epoch 0 (a configured top-K
-    /// layer stays enabled, with an emptied summary).
-    fn clear(&mut self) {
-        Clear::clear(&mut self.active);
-        self.frozen = None;
-        self.frozen_topk = None;
-        self.epoch = 0;
-        #[cfg(feature = "serde")]
-        {
-            self.cut_epoch = None;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -738,31 +598,47 @@ mod tests {
             .build_epoched()
     }
 
+    fn concurrent_window() -> EpochedConcurrent<u64> {
+        EpochedConcurrent::<u64>::builder()
+            .memory_bytes(64 * 1024)
+            .error_tolerance(25)
+            .emergency(EmergencyPolicy::ExactTable)
+            .seed(23)
+            .build_epoched_concurrent()
+    }
+
     #[test]
     fn fresh_window_is_empty_epoch_zero() {
-        let w = window();
-        assert_eq!(w.epoch(), 0);
-        assert!(w.frozen().is_none());
-        assert_eq!(w.query(&1), 0);
+        fn check<G: Generation<Key = u64>>(w: Epoched<G>) {
+            assert_eq!(w.epoch(), 0);
+            assert!(w.frozen().is_none());
+            assert_eq!(w.query(&1), 0);
+        }
+        check(window());
+        check(concurrent_window());
     }
 
     #[test]
     fn window_spans_two_epochs_exactly() {
-        let mut w = window();
-        w.insert(&1, 10); // epoch 0
+        fn check<G: Generation<Key = u64>>(mut w: Epoched<G>) {
+            w.insert(&1, 10); // epoch 0
 
-        assert!(w.rotate().is_none(), "nothing retired on first rotation");
-        w.insert(&1, 20); // epoch 1
-        assert_eq!(w.epoch(), 1);
-        assert!(w.query_with_error(&1).contains(30), "both epochs visible");
+            assert!(w.rotate().is_none(), "nothing retired on first rotation");
+            w.insert(&1, 20); // epoch 1
+            assert_eq!(w.epoch(), 1);
+            assert!(w.query_with_error(&1).contains(30), "both epochs visible");
+            assert_eq!(w.mpe_ceiling(), 2 * w.active().mpe_ceiling());
 
-        let retired = w.rotate().expect("epoch 0 retires");
-        assert!(retired.query_with_error(&1).contains(10));
-        w.insert(&1, 40); // epoch 2
-        assert!(
-            w.query_with_error(&1).contains(60),
-            "epoch 0 left the window"
-        );
+            let retired = w.rotate().expect("epoch 0 retires");
+            assert!(retired.query_with_error(&1).contains(10));
+            w.insert(&1, 40); // epoch 2
+            assert!(
+                w.query_with_error(&1).contains(60),
+                "epoch 0 left the window"
+            );
+        }
+        check(window());
+        check(concurrent_window());
     }
 
     #[test]
@@ -837,30 +713,34 @@ mod tests {
 
     #[test]
     fn clear_restarts_the_window() {
-        let mut w = window();
-        w.insert(&1, 5);
-        w.rotate();
-        w.insert(&1, 5);
-        Clear::clear(&mut w);
-        assert_eq!(w.epoch(), 0);
-        assert!(w.frozen().is_none());
-        assert_eq!(w.query(&1), 0);
+        fn check<G: Generation<Key = u64>>(mut w: Epoched<G>) {
+            w.insert(&1, 5);
+            w.rotate();
+            w.insert(&1, 5);
+            Clear::clear(&mut w);
+            assert_eq!(w.epoch(), 0);
+            assert!(w.frozen().is_none());
+            assert_eq!(w.query(&1), 0);
+        }
+        check(window());
+        check(concurrent_window());
     }
 
     #[test]
     fn memory_doubles_once_frozen_exists() {
-        let mut w = window();
-        let single = w.memory_bytes();
-        w.rotate();
-        assert_eq!(w.memory_bytes(), 2 * single);
-        assert_eq!(w.mpe_ceiling(), 2 * w.active().mpe_ceiling());
+        fn check<G: Generation<Key = u64>>(mut w: Epoched<G>) {
+            let single = w.memory_bytes();
+            w.rotate();
+            assert_eq!(w.memory_bytes(), 2 * single);
+        }
+        check(window());
+        check(concurrent_window());
     }
 
-    #[test]
-    fn retired_epochs_can_roll_up_via_merge() {
-        use rsk_api::Merge;
-        let mut w = window();
-        let mut rollup: Option<ReliableSketch<u64>> = None;
+    /// Retired generations merged into a roll-up plus the visible window
+    /// cover the whole history; returns the roll-up.
+    fn roll_up_retired<G: Generation<Key = u64> + Merge>(mut w: Epoched<G>) -> G {
+        let mut rollup: Option<G> = None;
         let mut truth: HashMap<u64, u64> = HashMap::new();
         for round in 0..4u64 {
             for i in 0..5_000u64 {
@@ -875,7 +755,6 @@ mod tests {
                 }
             }
         }
-        // roll-up + visible window = the whole history
         let rollup = rollup.unwrap();
         for (&k, &f) in &truth {
             let win = w.query_with_error(&k);
@@ -886,33 +765,13 @@ mod tests {
             };
             assert!(total.contains(f), "key {k}: {f} ∉ {total:?}");
         }
-    }
-
-    fn concurrent_window() -> EpochedConcurrent<u64> {
-        EpochedConcurrent::<u64>::builder()
-            .memory_bytes(64 * 1024)
-            .error_tolerance(25)
-            .emergency(EmergencyPolicy::ExactTable)
-            .seed(23)
-            .build_epoched_concurrent()
+        rollup
     }
 
     #[test]
-    fn concurrent_window_spans_two_epochs() {
-        let mut w = concurrent_window();
-        w.insert_shared(&1, 10);
-        assert!(w.rotate().is_none());
-        w.insert_shared(&1, 20);
-        assert_eq!(w.epoch(), 1);
-        assert!(w.query_with_error(&1).contains(30));
-        let retired = w.rotate().expect("epoch 0 retires");
-        assert!(retired.query_with_error(&1).contains(10));
-        w.insert_shared(&1, 40);
-        assert!(
-            w.query_with_error(&1).contains(60),
-            "epoch 0 left the window"
-        );
-        assert_eq!(w.mpe_ceiling(), 2 * w.active().mpe_ceiling());
+    fn retired_epochs_can_roll_up_via_merge() {
+        assert!(roll_up_retired(window()).is_merged());
+        assert!(roll_up_retired(concurrent_window()).is_merged());
     }
 
     #[test]
@@ -921,7 +780,6 @@ mod tests {
         // ingest_parallel on the sharded/one-owner path is exact, but here
         // producers race directly, so allow the documented filter slack.
         let mut w = concurrent_window();
-        let slack = w.active().contention_undershoot_bound();
         for epoch in 0..3u64 {
             std::thread::scope(|s| {
                 for t in 0..4u64 {
@@ -948,43 +806,11 @@ mod tests {
         for (&k, &f) in &window_truth {
             let est = w.query_with_error(&k);
             assert!(
-                est.value + 2 * slack >= f,
+                est.value + w.contention_slack() >= f,
                 "key {k}: window {est:?} trails truth {f}"
             );
             assert!(est.value <= f + est.max_possible_error);
             assert!(est.max_possible_error <= w.mpe_ceiling());
-        }
-    }
-
-    #[test]
-    fn concurrent_retired_epochs_roll_up_via_merge() {
-        use rsk_api::Merge;
-        let mut w = concurrent_window();
-        let mut rollup: Option<crate::atomic::ConcurrentReliable<u64>> = None;
-        let mut truth: HashMap<u64, u64> = HashMap::new();
-        for round in 0..4u64 {
-            for i in 0..5_000u64 {
-                let k = i % 100;
-                w.insert_shared(&k, 1 + round);
-                *truth.entry(k).or_insert(0) += 1 + round;
-            }
-            if let Some(retired) = w.rotate() {
-                match &mut rollup {
-                    None => rollup = Some(retired),
-                    Some(acc) => acc.merge(&retired).unwrap(),
-                }
-            }
-        }
-        let rollup = rollup.unwrap();
-        assert!(rollup.is_merged());
-        for (&k, &f) in &truth {
-            let win = w.query_with_error(&k);
-            let old = rollup.query_with_error(&k);
-            let total = Estimate {
-                value: win.value + old.value,
-                max_possible_error: win.max_possible_error + old.max_possible_error,
-            };
-            assert!(total.contains(f), "key {k}: {f} ∉ {total:?}");
         }
     }
 
@@ -1026,18 +852,6 @@ mod tests {
         let conc = w.query_with_error_concurrent(&5);
         assert_eq!(seq, conc, "shared-reference read must match &self read");
         assert!(conc.contains(42));
-    }
-
-    #[test]
-    fn concurrent_window_clear_restarts() {
-        let mut w = concurrent_window();
-        w.insert_shared(&1, 5);
-        w.rotate();
-        w.insert_shared(&1, 5);
-        Clear::clear(&mut w);
-        assert_eq!(w.epoch(), 0);
-        assert!(w.frozen().is_none());
-        assert_eq!(w.query(&1), 0);
     }
 
     proptest! {

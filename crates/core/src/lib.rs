@@ -32,8 +32,9 @@
 //! * [`concurrent::ShardedReliable`] — key-partitioned multi-core
 //!   ingestion over lock-free shards with a deterministic two-phase
 //!   `ingest_parallel`;
-//! * [`epoch::EpochedReliable`] / [`epoch::EpochedConcurrent`] —
-//!   two-generation rotating windows (sequential and lock-free);
+//! * [`epoch::Epoched`] — the two-generation rotating window, written
+//!   once over either flavour: [`epoch::EpochedReliable`] (sequential)
+//!   and [`epoch::EpochedConcurrent`] (lock-free);
 //! * [`topk::TopKSummary`] — the error-certified top-K layer: a
 //!   count-bucket Space-Saving list claimed on elephant promotion whose
 //!   entries carry the sketch's certified per-key error, behind the
@@ -88,6 +89,7 @@ pub mod config;
 pub mod emergency;
 pub mod epoch;
 pub mod filter;
+mod generation;
 pub mod geometry;
 pub mod merge;
 #[cfg(feature = "serde")]
@@ -107,7 +109,7 @@ pub use config::{
     Depth, EmergencyPolicy, MiceFilterConfig, ReliableConfig, ReliableConfigBuilder, BUCKET_BYTES,
     DEFAULT_SEED,
 };
-pub use epoch::{EpochedConcurrent, EpochedReliable};
+pub use epoch::{Epoched, EpochedConcurrent, EpochedReliable};
 pub use filter::{AtomicMiceFilter, MiceFilter};
 pub use geometry::LayerGeometry;
 pub use merge::merge_all;

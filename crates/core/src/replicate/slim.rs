@@ -101,22 +101,7 @@ impl SlimSummary {
 
     /// Distill a [`ConcurrentReliable`] (overlay and live words unioned).
     pub fn from_concurrent<K: Key>(sketch: &ConcurrentReliable<K>) -> Self {
-        let (layers, hints) = sketch.effective_layers();
-        let hints = normalize_hints(hints, &layers);
-        let fp_seed = fp_seed_for(sketch.config().seed);
-        distill(
-            sketch.config(),
-            sketch.geometry().widths(),
-            sketch.geometry().lambdas(),
-            &layers,
-            &hints,
-            extras_from(&sketch.peer_emergency(), fp_seed),
-            sketch
-                .filter()
-                .map_or(0, |f| filter_ceiling(&f.rows_snapshot())),
-            sketch.dropped_value(),
-            1,
-        )
+        Self::from_generations(sketch, None)
     }
 
     /// Distill a whole [`EpochedConcurrent`] window: both visible
@@ -124,17 +109,20 @@ impl SlimSummary {
     /// [`rsk_api::Merge`]), with the slack accounting for one filter
     /// threshold and one lambda budget per generation.
     pub fn from_epoched<K: Key>(window: &EpochedConcurrent<K>) -> Self {
-        let active = window.active();
+        Self::from_generations(window.active(), window.frozen())
+    }
+
+    /// One digest of `active` unioned with the `frozen` generation, if
+    /// any: per-generation filter ceilings, emergency remainders and
+    /// dropped mass fold into the digest's totals.
+    fn from_generations<K: Key>(
+        active: &ConcurrentReliable<K>,
+        frozen: Option<&ConcurrentReliable<K>>,
+    ) -> Self {
         let fp_seed = fp_seed_for(active.config().seed);
         let (mut layers, hints) = active.effective_layers();
         let mut hints = normalize_hints(hints, &layers);
-        let mut filter_slack = active
-            .filter()
-            .map_or(0, |f| filter_ceiling(&f.rows_snapshot()));
-        let mut extras = extras_from(&active.peer_emergency(), fp_seed);
-        let mut dropped = active.dropped_value();
-        let mut gens = 1;
-        if let Some(frozen) = window.frozen() {
+        if let Some(frozen) = frozen {
             let (f_layers, f_hints) = frozen.effective_layers();
             crate::merge::union_layers(
                 &mut layers,
@@ -143,23 +131,24 @@ impl SlimSummary {
                 &f_hints,
                 active.geometry().lambdas(),
             );
-            filter_slack += frozen
-                .filter()
-                .map_or(0, |f| filter_ceiling(&f.rows_snapshot()));
-            extras.extend(extras_from(&frozen.peer_emergency(), fp_seed));
-            dropped = dropped.saturating_add(frozen.dropped_value());
-            gens += 1;
         }
+        let generations = || core::iter::once(active).chain(frozen);
         distill(
             active.config(),
             active.geometry().widths(),
             active.geometry().lambdas(),
             &layers,
             &hints,
-            extras,
-            filter_slack,
-            dropped,
-            gens,
+            generations()
+                .flat_map(|g| extras_from(&g.peer_emergency(), fp_seed))
+                .collect(),
+            generations()
+                .map(|g| g.filter().map_or(0, |f| filter_ceiling(&f.rows_snapshot())))
+                .sum(),
+            generations()
+                .map(ConcurrentReliable::dropped_value)
+                .fold(0, u64::saturating_add),
+            generations().count() as u64,
         )
     }
 

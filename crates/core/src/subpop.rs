@@ -60,10 +60,11 @@
 
 use crate::atomic::ConcurrentReliable;
 use crate::concurrent::ShardedReliable;
-use crate::emergency::EmergencyStore;
-use crate::epoch::EpochedConcurrent;
+use crate::epoch::Epoched;
+use crate::generation::Generation;
 use crate::sketch::ReliableSketch;
-use rsk_api::{CertifiedWeight, ErrorSensing, Estimate, Key, KeySet, SubpopulationWeight};
+use crate::topk::TopKSummary;
+use rsk_api::{CertifiedWeight, ErrorSensing, Estimate, KeySet, SubpopulationWeight};
 use std::collections::HashSet;
 
 /// Largest predicate cardinality evaluated member-by-member (the dense
@@ -136,48 +137,31 @@ fn decode(
     }
 }
 
-/// Keys the emergency store can enumerate (exact remainders and
-/// SpaceSaving slots; nothing under `Disabled`).
-fn emergency_keys<K: Key>(e: &EmergencyStore<K>) -> Vec<K> {
-    match e {
-        EmergencyStore::Disabled { .. } => Vec::new(),
-        EmergencyStore::Exact { table, .. } => table.keys().copied().collect(),
-        EmergencyStore::SpaceSaving { slots, .. } => slots.iter().map(|s| s.0).collect(),
-    }
-}
-
-/// Ceiling on the emergency remainder of a key *not* in the store: a
-/// full SpaceSaving table may have folded an evicted key's remainder
-/// into its minimum slot (Metwally's rule bounds it by that slot's
-/// count); exact tables and never-full tables track every recorded key.
-fn emergency_untracked_ceiling<K: Key>(e: &EmergencyStore<K>) -> u64 {
-    match e {
-        EmergencyStore::SpaceSaving {
-            slots, capacity, ..
-        } if slots.len() >= *capacity => slots.iter().map(|s| s.1).min().unwrap_or(0),
-        _ => 0,
-    }
-}
-
-/// Decode inputs of one concurrent generation: its enumerable tracked
-/// keys (top-K entries + emergency remainders — bucket candidates exist
-/// only as fingerprints) and its per-untracked-key ceiling.
-fn concurrent_decode_inputs(
-    g: &ConcurrentReliable<u64>,
-    emergency: &EmergencyStore<u64>,
-) -> (Vec<u64>, u64) {
-    let mut tracked = emergency_keys(emergency);
-    let mut ceiling = if g.is_merged() {
-        u64::MAX
-    } else {
-        g.mpe_ceiling()
-            .saturating_add(emergency_untracked_ceiling(emergency))
-    };
-    if let Some(tk) = g.top_k_summary() {
+/// One generation's decode inventory ([`Generation::decode_inventory`])
+/// completed by the top-K summary it is read through: monitored keys
+/// join the tracked list, and the summary's
+/// [`miss_bound`](TopKSummary::miss_bound) caps the truth of every key
+/// it does not monitor.
+fn inventory<G: Generation<Key = u64>>(g: &G, top_k: Option<&TopKSummary<u64>>) -> (Vec<u64>, u64) {
+    let (mut tracked, mut ceiling) = g.decode_inventory();
+    if let Some(tk) = top_k {
         ceiling = ceiling.min(tk.miss_bound());
         tracked.extend(tk.entries_desc().into_iter().map(|e| e.key));
     }
     (tracked, ceiling)
+}
+
+/// Dense or decode evaluation of one sketch generation.
+fn single<G: Generation<Key = u64>>(g: &G, set: &KeySet) -> CertifiedWeight {
+    let slack = g.contention_slack();
+    let dropped = g.dropped_value();
+    if let Some(keys) = set.enumerate(DENSE_ENUMERATION_LIMIT) {
+        return dense(&keys, slack, dropped, |k| g.query_with_error(k));
+    }
+    let (tracked, ceiling) = inventory(g, g.top_k_view().as_deref());
+    decode(set, tracked, ceiling, slack, dropped, |k| {
+        g.query_with_error(k)
+    })
 }
 
 impl SubpopulationWeight for ReliableSketch<u64> {
@@ -185,26 +169,7 @@ impl SubpopulationWeight for ReliableSketch<u64> {
     /// enumerates real bucket candidates, so the tracked inventory is
     /// complete and the untracked charge alias-free.
     fn subpopulation_weight(&self, set: &KeySet) -> CertifiedWeight {
-        let dropped = self.dropped_value();
-        if let Some(keys) = set.enumerate(DENSE_ENUMERATION_LIMIT) {
-            return dense(&keys, 0, dropped, |k| self.query_with_error(k));
-        }
-        let (_, _, emergency, _, _) = self.peer_parts();
-        let mut tracked: Vec<u64> = self.candidates().into_iter().map(|(k, _)| k).collect();
-        tracked.extend(emergency_keys(emergency));
-        let mut ceiling = if self.is_merged() {
-            u64::MAX
-        } else {
-            self.mpe_ceiling()
-                .saturating_add(emergency_untracked_ceiling(emergency))
-        };
-        if let Some(tk) = self.top_k_summary() {
-            ceiling = ceiling.min(tk.miss_bound());
-            tracked.extend(tk.entries_desc().into_iter().map(|e| e.key));
-        }
-        decode(set, tracked, ceiling, 0, dropped, |k| {
-            self.query_with_error(k)
-        })
+        single(self, set)
     }
 }
 
@@ -215,16 +180,7 @@ impl SubpopulationWeight for ConcurrentReliable<u64> {
     /// set member; single-owner histories answer bit-for-bit like the
     /// sequential twin with the slack term merely reported.
     fn subpopulation_weight(&self, set: &KeySet) -> CertifiedWeight {
-        let slack = self.contention_undershoot_bound();
-        let dropped = self.dropped_value();
-        if let Some(keys) = set.enumerate(DENSE_ENUMERATION_LIMIT) {
-            return dense(&keys, slack, dropped, |k| self.query_with_error(k));
-        }
-        let emergency = self.peer_emergency();
-        let (tracked, ceiling) = concurrent_decode_inputs(self, &emergency);
-        decode(set, tracked, ceiling, slack, dropped, |k| {
-            self.query_with_error(k)
-        })
+        single(self, set)
     }
 }
 
@@ -247,8 +203,7 @@ impl SubpopulationWeight for ShardedReliable<u64> {
         let mut ceiling = 0u64;
         for i in 0..self.shards() {
             let shard = self.shard(i);
-            let emergency = shard.peer_emergency();
-            let (t, c) = concurrent_decode_inputs(shard, &emergency);
+            let (t, c) = inventory(shard, shard.top_k_view().as_deref());
             tracked.extend(t);
             ceiling = ceiling.max(c);
         }
@@ -258,44 +213,30 @@ impl SubpopulationWeight for ShardedReliable<u64> {
     }
 }
 
-impl SubpopulationWeight for EpochedConcurrent<u64> {
+impl<G: Generation<Key = u64>> SubpopulationWeight for Epoched<G> {
     /// Window evaluation over both visible generations: per-key queries
     /// sum the generations' certified answers, the untracked charge sums
-    /// the generations' ceilings (a key absent from both summaries has
-    /// window truth ≤ their sum), and `slack` charges one contention
-    /// undershoot per visible generation per member — the same
-    /// convention the serving layer reports.
+    /// the generations' ceilings (a key absent from both inventories has
+    /// window truth ≤ their sum), and `slack` is the window's
+    /// [`contention_slack`](Epoched::contention_slack) per member — the
+    /// same convention the serving layer reports.
     fn subpopulation_weight(&self, set: &KeySet) -> CertifiedWeight {
-        let generations = 1 + u64::from(self.frozen().is_some());
-        let slack = self
-            .contention_undershoot_bound()
-            .saturating_mul(generations);
-        let mut dropped = self.active().dropped_value();
-        if let Some(frozen) = self.frozen() {
-            dropped = dropped.saturating_add(frozen.dropped_value());
-        }
+        let slack = self.contention_slack();
+        let dropped = self
+            .generations()
+            .map(G::dropped_value)
+            .fold(0u64, u64::saturating_add);
         if let Some(keys) = set.enumerate(DENSE_ENUMERATION_LIMIT) {
             return dense(&keys, slack, dropped, |k| self.query_with_error(k));
         }
-        let a_emergency = self.active().peer_emergency();
-        let (mut tracked, mut ceiling) = concurrent_decode_inputs(self.active(), &a_emergency);
+        let (mut tracked, mut ceiling) =
+            inventory(self.active(), self.active().top_k_view().as_deref());
         if let Some(frozen) = self.frozen() {
-            let f_emergency = frozen.peer_emergency();
-            let mut f_ceiling = if frozen.is_merged() {
-                u64::MAX
-            } else {
-                frozen
-                    .mpe_ceiling()
-                    .saturating_add(emergency_untracked_ceiling(&f_emergency))
-            };
-            // the sealed generation's summary is the rotation-time
+            // the concurrent window's sealed summary is the rotation-time
             // snapshot — wait-free, no lock
-            if let Some(tk) = self.frozen_top_k() {
-                f_ceiling = f_ceiling.min(tk.miss_bound());
-                tracked.extend(tk.entries_desc().into_iter().map(|e| e.key));
-            }
-            tracked.extend(emergency_keys(&f_emergency));
-            ceiling = ceiling.saturating_add(f_ceiling);
+            let (t, c) = inventory(frozen, self.frozen_top_k_view().as_deref());
+            tracked.extend(t);
+            ceiling = ceiling.saturating_add(c);
         }
         decode(set, tracked, ceiling, slack, dropped, |k| {
             self.query_with_error(k)
@@ -330,7 +271,7 @@ impl SubpopulationWeight for crate::replicate::SlimSummary {
 mod tests {
     use super::*;
     use crate::config::{EmergencyPolicy, ReliableConfig};
-    use crate::epoch::EpochedConcurrent;
+    use crate::epoch::{EpochedConcurrent, EpochedReliable};
     use std::collections::HashMap;
 
     const MEMORY: usize = 128 * 1024;
@@ -502,17 +443,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn epoched_window_covers_both_generations() {
+    /// Both window flavours: one generic test body over the visible
+    /// generations.
+    fn window_covers_both_generations<G: Generation<Key = u64>>(mut window: Epoched<G>) {
         let (items, truth) = stream(40_000, 800, 23);
-        let mut window = EpochedConcurrent::<u64>::new(config(7)).with_top_k(64);
         let (first, second) = items.split_at(items.len() / 2);
         for (k, v) in first {
-            window.insert_shared(k, *v);
+            rsk_api::StreamSummary::insert(&mut window, k, *v);
         }
         window.rotate();
         for (k, v) in second {
-            window.insert_shared(k, *v);
+            rsk_api::StreamSummary::insert(&mut window, k, *v);
         }
         for set in shapes(800) {
             let w = window.subpopulation_weight(&set);
@@ -521,8 +462,15 @@ mod tests {
         // the dense slack convention is one undershoot bound per
         // visible generation per member
         let m = KeySet::explicit(vec![1, 2, 3]);
-        let per_key = window.contention_undershoot_bound();
+        let per_key = window.active().contention_slack();
+        assert_eq!(window.contention_slack(), 2 * per_key);
         assert_eq!(window.subpopulation_weight(&m).slack, 3 * 2 * per_key);
+    }
+
+    #[test]
+    fn epoched_window_covers_both_generations() {
+        window_covers_both_generations(EpochedReliable::<u64>::new(config(7)).with_top_k(64));
+        window_covers_both_generations(EpochedConcurrent::<u64>::new(config(7)).with_top_k(64));
     }
 
     #[test]

@@ -129,11 +129,10 @@ impl Tenant {
     pub fn certified(&self, key: u64) -> CertifiedAnswer {
         let window = self.window.read();
         let est: Estimate = window.query_with_error_concurrent(&key);
-        let generations = 1 + u64::from(window.frozen().is_some());
         CertifiedAnswer {
             value: est.value,
             max_possible_error: est.max_possible_error,
-            slack: window.contention_undershoot_bound() * generations,
+            slack: window.contention_slack(),
             epoch: window.epoch(),
         }
     }
@@ -146,17 +145,15 @@ impl Tenant {
     pub fn top_k(&self, k: usize) -> (CertifiedTopK<u64>, u64, u64) {
         let window = self.window.read();
         let top = window.certified_top_k(k);
-        let generations = 1 + u64::from(window.frozen().is_some());
-        let slack = window.contention_undershoot_bound() * generations;
-        (top, slack, window.epoch())
+        (top, window.contention_slack(), window.epoch())
     }
 
     /// Certified subpopulation weight of `set` across the visible
     /// window, with the window's epoch attached. Answered under the
     /// shared lock — the aggregate walks the same lock-free read paths
     /// as certified point queries, and its `slack` field already carries
-    /// the per-key contention bound summed over the window's live
-    /// generations (the same convention as [`Tenant::certified`]).
+    /// the window's per-key `contention_slack` (the same convention as
+    /// [`Tenant::certified`]).
     pub fn subpop(&self, set: &KeySet) -> (CertifiedWeight, u64) {
         let window = self.window.read();
         (window.subpopulation_weight(set), window.epoch())
@@ -202,11 +199,10 @@ impl Tenant {
         let window = self.window.read();
         let slim = SlimSummary::from_epoched(&window);
         let est = slim.query_with_error(&key);
-        let generations = 1 + u64::from(window.frozen().is_some());
         CertifiedAnswer {
             value: est.value,
             max_possible_error: est.max_possible_error,
-            slack: window.contention_undershoot_bound() * generations,
+            slack: window.contention_slack(),
             epoch: window.epoch(),
         }
     }
