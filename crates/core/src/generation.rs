@@ -145,16 +145,11 @@ impl<K: Key> Generation for ConcurrentReliable<K> {
     }
 
     /// Emergency remainders only: bucket candidates exist as
-    /// fingerprints, not keys.
+    /// fingerprints, not keys, so a key missing from the list may own a
+    /// bucket and carry any weight. Its ceiling is unbounded; only a
+    /// top-K layer's stream-side `miss_bound` caps it.
     fn decode_inventory(&self) -> (Vec<K>, u64) {
-        let emergency = self.peer_emergency();
-        let ceiling = if self.is_merged() {
-            u64::MAX
-        } else {
-            self.mpe_ceiling()
-                .saturating_add(emergency_untracked_ceiling(&emergency))
-        };
-        (emergency_keys(&emergency), ceiling)
+        (emergency_keys(&self.peer_emergency()), u64::MAX)
     }
 }
 

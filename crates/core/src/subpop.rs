@@ -17,34 +17,37 @@
 //!   per-key contention undershoot bound — sound because each per-key
 //!   interval is.
 //! * **Decode** — larger or unbounded sets (big ranges, short masks,
-//!   the full universe): sum the certified intervals of the sketch's
-//!   *tracked* keys that fall in the set (bucket candidates, top-K
+//!   the full universe): sum the certified intervals of each
+//!   generation's *tracked* keys that fall in the set (its decode
+//!   inventory: bucket candidates on the sequential sketch, top-K
 //!   entries, emergency remainders), then charge every possibly-present
-//!   untracked key its certified per-key ceiling — the top-K layer's
-//!   [`TopKSummary::miss_bound`](crate::topk::TopKSummary::miss_bound)
-//!   when enabled, the sketch's `mpe_ceiling` otherwise. An unbounded
-//!   predicate saturates `hi` to a vacuous-but-sound [`u64::MAX`].
+//!   untracked key its certified per-key ceiling. On the sequential
+//!   sketch that is `min(mpe_ceiling + emergency ceiling, miss_bound)`;
+//!   on a concurrent generation it is the top-K layer's
+//!   [`TopKSummary::miss_bound`] alone, or
+//!   [`u64::MAX`] without the layer. An unbounded predicate saturates
+//!   `hi` to a vacuous-but-sound [`u64::MAX`].
 //!
 //! ## Soundness
 //!
 //! The dense path inherits the point-query guarantee verbatim. The
-//! decode path's untracked-key charge rests on a structural fact of the
-//! query walk (`ReliableSketch::query_traced`): for a key that is a
-//! candidate nowhere, every term added to the estimate — the mice-filter
-//! count, each visited bucket's `NO` counter, the emergency remainder —
-//! is also added to the MPE, so `f̂ = MPE ≤ mpe_ceiling` and therefore
-//! `truth ≤ f̂ ≤ mpe_ceiling`. Three documented caveats:
+//! sequential decode charge rests on a structural fact of the query
+//! walk (`ReliableSketch::query_traced`): for a key that is a candidate
+//! nowhere, every term added to the estimate — the mice-filter count,
+//! each visited bucket's `NO` counter, the emergency remainder — is also
+//! added to the MPE, so `f̂ = MPE ≤ mpe_ceiling` and therefore
+//! `truth ≤ f̂ ≤ mpe_ceiling`. A concurrent generation cannot list its
+//! bucket owners (buckets hold 24-bit fingerprints, not keys), so an
+//! untracked key there may be a heavy owner and `mpe_ceiling` does not
+//! bound it. The top-K layer's `miss_bound` does: it is maintained from
+//! the stream side and bounds every key the summary does not monitor.
+//! Two more documented caveats:
 //!
 //! * **Merged sketches** (`is_merged()`): the `MPE ≤ Λ` ceiling becomes
-//!   data-dependent, so the untracked charge degrades to [`u64::MAX`]
-//!   (the answer is vacuous unless the set is fully tracked); a merged
-//!   top-K layer's `miss_bound` stays finite and sound, so flavours with
-//!   the layer enabled keep a meaningful bound.
-//! * **Concurrent flavours without a top-K layer** carry the same 2⁻²⁴
-//!   fingerprint-aliasing caveat as merged concurrent point queries: an
-//!   untracked key aliased onto a candidate fingerprint can read that
-//!   candidate's `YES` count. The `miss_bound` charge is alias-free (it
-//!   is maintained from the stream side, not the bucket side).
+//!   data-dependent, so the sequential untracked charge degrades to
+//!   [`u64::MAX`] (the answer is vacuous unless the set is fully
+//!   tracked); a merged top-K layer's `miss_bound` stays finite and
+//!   sound, so flavours with the layer enabled keep a meaningful bound.
 //! * **Dropped mass**: under [`crate::EmergencyPolicy::Disabled`] a
 //!   failed insert's value leaves the sketch entirely, so the total
 //!   dropped value is charged once onto `hi` (zero in any configuration
@@ -424,7 +427,7 @@ mod tests {
         assert_contains(tight, truth_sum(&truth, &set), "topk decode");
         assert!(
             tight.width() < loose.width(),
-            "miss_bound charge {} must beat mpe_ceiling charge {}",
+            "miss_bound charge {} must beat the unbounded charge {}",
             tight.width(),
             loose.width()
         );
@@ -471,6 +474,55 @@ mod tests {
     fn epoched_window_covers_both_generations() {
         window_covers_both_generations(EpochedReliable::<u64>::new(config(7)).with_top_k(64));
         window_covers_both_generations(EpochedConcurrent::<u64>::new(config(7)).with_top_k(64));
+    }
+
+    /// 64 KiB, Λ = 25, seed 1, paper-default filter and emergency store.
+    fn small_config() -> ReliableConfig {
+        ReliableConfig::builder()
+            .memory_bytes(64 * 1024)
+            .error_tolerance(LAMBDA)
+            .seed(1)
+            .build_config()
+    }
+
+    /// A concurrent generation holds fingerprints, not keys, so a heavy
+    /// bucket owner is untracked on the decode path: without a top-K
+    /// layer its charge must be unbounded, not `mpe_ceiling`.
+    #[test]
+    fn concurrent_decode_charges_unlisted_heavy_owner_soundly() {
+        let single = ConcurrentReliable::<u64>::new(small_config());
+        let sharded = ShardedReliable::<u64>::new(small_config(), 4);
+        for _ in 0..1000 {
+            single.insert_concurrent(&7, 1000);
+            sharded.insert_shared(&7, 1000);
+        }
+        let set = KeySet::range(0, 4999);
+        assert!(
+            set.enumerate(DENSE_ENUMERATION_LIMIT).is_none(),
+            "decode path"
+        );
+        assert_contains(single.subpopulation_weight(&set), 1_000_000, "single");
+        assert_contains(sharded.subpopulation_weight(&set), 1_000_000, "sharded");
+    }
+
+    /// With a top-K layer, a key the summary rejected is charged the
+    /// layer's `miss_bound`, which bounds its truth; `mpe_ceiling` does
+    /// not, because the key may own a bucket.
+    #[test]
+    fn concurrent_decode_charges_rejected_owner_its_miss_bound() {
+        let sk = ConcurrentReliable::<u64>::new(small_config()).with_top_k(1);
+        sk.insert_concurrent(&7, 1_000_000);
+        sk.insert_concurrent(&8, 1_000_000);
+        let monitored: Vec<u64> = sk
+            .top_k_summary()
+            .unwrap()
+            .entries_desc()
+            .iter()
+            .map(|e| e.key)
+            .collect();
+        assert_eq!(monitored, vec![7], "key 8 is rejected by the full summary");
+        let w = sk.subpopulation_weight(&KeySet::range(0, 4999));
+        assert_contains(w, 2_000_000, "rejected owner");
     }
 
     #[test]
