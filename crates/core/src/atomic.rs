@@ -48,6 +48,10 @@
 //!   buckets;
 //! * **Emergency store** — failures are recorded under the configured
 //!   policy behind a mutex only failures touch;
+//! * **Top-K** — promoted values are offered to a
+//!   [`crate::topk::TopKSummary`] behind a mutex, once per 64-item chunk
+//!   under [`ConcurrentReliable::insert_batch`]; claim stamps keep its
+//!   certificates sound with racing writers;
 //! * **Windows** — [`crate::epoch::EpochedConcurrent`] rotates generations
 //!   of this structure for bounded-history summaries;
 //! * **Merging** — [`rsk_api::Merge`] is implemented for
@@ -518,13 +522,17 @@ pub struct ConcurrentReliable<K: Key> {
     array: AtomicBucketArray,
     failures: AtomicU64,
     emergency: Mutex<EmergencyStore<K>>,
-    /// The error-certified top-K layer ([`crate::topk`]). The mutex is
-    /// touched only on the promotion path — when the mice filter passes
-    /// value through (elephant traffic; every insert for the raw
-    /// variant) — so mouse-dominated hot paths never contend on it; the
-    /// bucket transitions that feed monitored counts were each committed
-    /// by the existing one-CAS step before the offer is taken.
+    /// The error-certified top-K layer ([`crate::topk`]). Every value
+    /// the mice filter passes on is offered to it under its mutex, after
+    /// the insert's bucket CASes committed. On skewed traffic that is
+    /// most items (88 % on the serve workload), so the item path takes
+    /// the mutex almost per item and racing writers convoy on it;
+    /// [`Self::insert_batch`] takes it once per 64-item chunk instead.
     topk: Option<Mutex<TopKSummary<K>>>,
+    /// Mirror of the summary's claim count, stored (Release) under the
+    /// mutex after every flush. A writer loads it (Acquire) before it
+    /// descends: the `since` of its claim window (see [`crate::topk`]).
+    topk_claims: AtomicU64,
     merged: Option<MergedOverlay>,
     /// Bumped whenever the sealed overlay mutates (every merge funnels
     /// through [`Self::seal_into_overlay`]); lets a replication cut detect
@@ -596,6 +604,7 @@ impl<K: Key> ConcurrentReliable<K> {
             failures: AtomicU64::new(0),
             emergency,
             topk: None,
+            topk_claims: AtomicU64::new(0),
             merged: None,
             merge_epoch: 0,
             #[cfg(feature = "serde")]
@@ -640,16 +649,19 @@ impl<K: Key> ConcurrentReliable<K> {
     }
 
     /// Attach the error-certified top-K layer ([`crate::topk`]),
-    /// mirroring [`crate::ReliableSketch::enable_top_k`]: offers happen
-    /// only when the atomic mice filter passes value through, so the
-    /// guarding mutex sees elephant traffic only. Enable *before*
-    /// ingesting. Under producer contention a claim's seed estimate may
-    /// trail the racing truth by the documented
-    /// [`Self::contention_undershoot_bound`]; single-owner histories are
-    /// bit-for-bit equal to the sequential twin's summary.
+    /// mirroring [`crate::ReliableSketch::enable_top_k`]: every value
+    /// the atomic mice filter passes on is offered to it (once per item
+    /// on the item path, once per 64-item chunk under
+    /// [`Self::insert_batch`]). Enable *before* ingesting. Under
+    /// producer contention a claim's seed estimate may trail the racing
+    /// truth by the documented [`Self::contention_undershoot_bound`], and
+    /// claim stamps widen an entry's error by racing writers' units its
+    /// seed may already hold; single-owner histories are bit-for-bit
+    /// equal to the sequential twin's summary.
     pub fn enable_top_k(&mut self, capacity: usize) {
         let threshold = self.filter.as_ref().map_or(0, AtomicMiceFilter::threshold);
         self.topk = Some(Mutex::new(TopKSummary::new(capacity, threshold)));
+        *self.topk_claims.get_mut() = 0;
     }
 
     /// Builder-style [`Self::enable_top_k`].
@@ -719,21 +731,49 @@ impl<K: Key> ConcurrentReliable<K> {
     /// value it passes through descends into the bucket layers.
     #[inline]
     fn insert_prehashed(&self, key: &K, value: u64, fp: u64, idx0: usize) {
+        let since = self.topk_claims.load(Ordering::Acquire);
+        if let Some(passed) = self.filter_and_descend(key, value, fp, idx0) {
+            // elephant promotion after every CAS of this insert
+            // committed: an unmonitored key's claim is seeded from the
+            // certified post-insert estimate
+            self.flush_offers(since, [(key, passed, || self.query_with_error(key))]);
+        }
+    }
+
+    /// Count the item, run it through the mice filter and descend what
+    /// passes. Returns the passed value when a top-K layer wants it.
+    #[inline]
+    fn filter_and_descend(&self, key: &K, value: u64, fp: u64, idx0: usize) -> Option<u64> {
         self.array.note_item();
         let mut v = value;
         if let Some(f) = &self.filter {
             v = f.insert(key, v);
             if v == 0 {
-                return; // absorbed: a mouse never touches a bucket
+                return None; // absorbed: a mouse never touches a bucket
             }
         }
-        let passed = v;
         self.descend(key, v, fp, idx0);
-        // elephant promotion: offer the passed value to the top-K layer
-        // after every CAS of this insert committed, so an unmonitored
-        // key's claim is seeded from the certified post-insert estimate
-        if let Some(tk) = &self.topk {
-            tk.lock().offer(key, passed, || self.query_with_error(key));
+        self.topk.as_ref().map(|_| v)
+    }
+
+    /// Apply top-K offers in stream order under one lock. `since` is the
+    /// claim mirror the writer loaded before its first descend; claims
+    /// made by other writers after it are widened by
+    /// [`TopKSummary::offer_in`]. The mirror is republished before the
+    /// lock is released.
+    fn flush_offers<'a, F>(&self, since: u64, offers: impl IntoIterator<Item = (&'a K, u64, F)>)
+    where
+        K: 'a,
+        F: FnOnce() -> Estimate,
+    {
+        let Some(tk) = &self.topk else { return };
+        let mut summary = tk.lock();
+        let until = summary.claims();
+        for (key, passed, estimate) in offers {
+            summary.offer_in(key, passed, (since, until), estimate);
+        }
+        if summary.claims() != until {
+            self.topk_claims.store(summary.claims(), Ordering::Release);
         }
     }
 
@@ -755,29 +795,43 @@ impl<K: Key> ConcurrentReliable<K> {
     }
 
     /// Insert a batch, amortizing fingerprint and layer-0 hashing over a
-    /// tight precompute loop per 64-item chunk. Semantically identical to
-    /// calling [`Self::insert_concurrent`] per item in order; items are
-    /// applied in stream order.
+    /// tight precompute loop per 64-item chunk. Items are applied in
+    /// stream order; one writer gets exactly the state of calling
+    /// [`Self::insert_concurrent`] per item.
     ///
-    /// This is the workspace's one batched ingest path that measurably
-    /// beats its item loop, on the raw variant (no mice filter; see
-    /// ARCHITECTURE.md, "The batched ingest path"). With a filter in
-    /// front, most items stop at the filter and never use their
-    /// precomputed index, so the prefix saves little.
+    /// With a top-K layer, each chunk's offers are buffered and applied
+    /// under one lock of the summary's mutex instead of one per passed
+    /// item, which is what lets racing writers scale. Each offer carries
+    /// the estimate taken right after its own descend — the estimate the
+    /// item loop would compute — and the chunk's claim window keeps the
+    /// certificates sound when another writer claims a key in between
+    /// (see [`crate::topk`]).
     pub fn insert_batch(&self, items: &[(K, u64)]) {
         const CHUNK: usize = 64;
         let w0 = self.geometry.width(0);
         let mut idx0 = [0usize; CHUNK];
         let mut fps = [0u64; CHUNK];
+        let mut offers: Vec<(K, u64, Estimate)> = match self.topk {
+            Some(_) => Vec::with_capacity(CHUNK.min(items.len())),
+            None => Vec::new(),
+        };
         for chunk in items.chunks(CHUNK) {
             for (s, (k, _)) in chunk.iter().enumerate() {
                 idx0[s] = self.hashes.index(0, k, w0);
                 fps[s] = self.fingerprint(k);
             }
-            for (s, &(k, v)) in chunk.iter().enumerate() {
-                if v > 0 {
-                    self.insert_prehashed(&k, v, fps[s], idx0[s]);
+            let since = self.topk_claims.load(Ordering::Acquire);
+            for (s, (k, v)) in chunk.iter().enumerate() {
+                if *v == 0 {
+                    continue;
                 }
+                if let Some(passed) = self.filter_and_descend(k, *v, fps[s], idx0[s]) {
+                    offers.push((*k, passed, self.query_prehashed(k, fps[s], idx0[s])));
+                }
+            }
+            if !offers.is_empty() {
+                self.flush_offers(since, offers.iter().map(|(k, p, e)| (k, *p, move || *e)));
+                offers.clear();
             }
         }
     }
@@ -811,6 +865,20 @@ impl<K: Key> ConcurrentReliable<K> {
     /// addition to the live words (two generations of one stream).
     pub fn query_with_error(&self, key: &K) -> Estimate {
         let fp = self.fingerprint(key);
+        let idx0 = self.hashes.index(0, key, self.geometry.width(0));
+        self.query_prehashed(key, fp, idx0)
+    }
+
+    /// [`Self::query_with_error`] with the fingerprint and layer-0 index
+    /// already computed (the batch path reuses its chunk prefix).
+    fn query_prehashed(&self, key: &K, fp: u64, idx0: usize) -> Estimate {
+        let index = |i: usize| {
+            if i == 0 {
+                idx0
+            } else {
+                self.hashes.index(i, key, self.geometry.width(i))
+            }
+        };
         let mut est = 0u64;
         let mut mpe = 0u64;
         let mut descend = true;
@@ -823,7 +891,7 @@ impl<K: Key> ConcurrentReliable<K> {
         if descend {
             if let Some(overlay) = &self.merged {
                 for i in 0..self.geometry.depth() {
-                    let j = self.hashes.index(i, key, self.geometry.width(i));
+                    let j = index(i);
                     let b = &overlay.layers[i][j];
                     let matches = b.id() == Some(&fp);
                     est += if matches { b.yes() } else { b.no() };
@@ -839,7 +907,7 @@ impl<K: Key> ConcurrentReliable<K> {
                 }
             }
             for i in 0..self.geometry.depth() {
-                let j = self.hashes.index(i, key, self.geometry.width(i));
+                let j = index(i);
                 let (bfp, yes, no) = self.array.read(i, j);
                 let matches = bfp == fp;
                 est += if matches { yes } else { no };

@@ -34,6 +34,21 @@
 //! clears the floor is provably reported. `tests/topk_oracle.rs` races
 //! this certificate against the exact oracle on zipf, churn and
 //! adversarial streams.
+//!
+//! ## Claim stamps
+//!
+//! Racing writers of [`crate::atomic::ConcurrentReliable`] descend first
+//! and offer afterwards, so a claim's seed estimate may already hold
+//! units whose own offer is still on its way. Every admission therefore
+//! bumps a monotone claim counter and stamps its entry. A writer reads
+//! that counter before it descends (`since`) and again under the lock
+//! (`until`); an entry stamped inside `(since, until]` was claimed by
+//! another writer after this writer's units may have landed in the
+//! buckets, so the offer adds `passed` to the entry's `error` as well as
+//! to its `count`. Claims stamped `≤ since` took their estimate before
+//! the writer's descends, and the writer's own claims in the same flush
+//! are stamped `> until`, so a lone writer's window is always empty and
+//! [`TopKSummary::offer`] (the sequential path) never widens anything.
 
 use rsk_api::{CertifiedTopK, Estimate, Key, MergeError, TopKEntry};
 use std::collections::HashMap;
@@ -64,6 +79,8 @@ struct BucketNode {
 struct EntryNode<K> {
     key: K,
     error: u64,
+    /// Claim counter value at admission (see the module docs).
+    stamp: u64,
     bucket: usize,
     prev: usize,
     next: usize,
@@ -94,6 +111,9 @@ pub struct TopKSummary<K: Key> {
     /// Monotone floor raised by merges (absent-side charges and
     /// truncation); 0 for a summary that only ever ingested.
     floor: u64,
+    /// Admissions so far: monotone, never lowered by `clear` or
+    /// `merge_from` (see the module docs on claim stamps).
+    claims: u64,
     entries: Vec<EntryNode<K>>,
     free_entries: Vec<usize>,
     buckets: Vec<BucketNode>,
@@ -115,6 +135,7 @@ impl<K: Key> TopKSummary<K> {
             capacity,
             threshold,
             floor: 0,
+            claims: 0,
             entries: Vec::with_capacity(capacity),
             free_entries: Vec::new(),
             buckets: Vec::with_capacity(capacity.min(64)),
@@ -188,7 +209,23 @@ impl<K: Key> TopKSummary<K> {
     where
         F: FnOnce() -> Estimate,
     {
+        self.offer_in(key, passed, (0, 0), estimate);
+    }
+
+    /// [`Self::offer`] for a racing writer whose claim window is
+    /// `(since, until]`: a monitored entry stamped inside it may already
+    /// count these `passed` units in its seed, so they widen its `error`
+    /// as well as its `count`. An empty window (`since ≥ until`) is
+    /// exactly [`Self::offer`].
+    pub(crate) fn offer_in<F>(&mut self, key: &K, passed: u64, window: (u64, u64), estimate: F)
+    where
+        F: FnOnce() -> Estimate,
+    {
         if let Some(&slot) = self.index.get(key) {
+            let entry = &mut self.entries[slot];
+            if window.0 < entry.stamp && entry.stamp <= window.1 {
+                entry.error = entry.error.saturating_add(passed);
+            }
             self.increase(slot, passed);
             return;
         }
@@ -200,6 +237,12 @@ impl<K: Key> TopKSummary<K> {
             self.admit(*key, est.value, est.max_possible_error);
         }
         // else: rejected — truth ≤ est.value ≤ min_count ≤ miss_bound()
+    }
+
+    /// Admissions so far — the claim stamp of the most recent one.
+    #[inline]
+    pub(crate) fn claims(&self) -> u64 {
+        self.claims
     }
 
     /// The certified top-`k` answer (entries by count descending; ties
@@ -310,7 +353,8 @@ impl<K: Key> TopKSummary<K> {
         Ok(())
     }
 
-    /// Forget everything (capacity and threshold survive).
+    /// Forget everything (capacity, threshold and the claim counter
+    /// survive).
     pub fn clear(&mut self) {
         self.reset_slabs();
         self.floor = 0;
@@ -471,9 +515,11 @@ impl<K: Key> TopKSummary<K> {
     /// Claim a slot for `key` with a seeded certified pair.
     fn admit(&mut self, key: K, count: u64, error: u64) {
         debug_assert!(self.len() < self.capacity);
+        self.claims += 1;
         let slot = self.alloc_entry(EntryNode {
             key,
             error,
+            stamp: self.claims,
             bucket: NIL,
             prev: NIL,
             next: NIL,
@@ -496,7 +542,9 @@ impl<K: Key> TopKSummary<K> {
     }
 
     /// Append a key at the top of the bucket list (rebuild path only —
-    /// requires `count` ≥ every monitored count).
+    /// requires `count` ≥ every monitored count). The entry is stamped
+    /// with the current claim count: rebuilds run with exclusive access,
+    /// so no writer's window can hold the stamp.
     fn push_highest(&mut self, key: K, count: u64, error: u64) {
         debug_assert!(self.highest == NIL || count >= self.buckets[self.highest].count);
         let b = if self.highest != NIL && self.buckets[self.highest].count == count {
@@ -507,6 +555,7 @@ impl<K: Key> TopKSummary<K> {
         let slot = self.alloc_entry(EntryNode {
             key,
             error,
+            stamp: self.claims,
             bucket: NIL,
             prev: NIL,
             next: NIL,
@@ -560,15 +609,107 @@ mod tests {
     /// Drive a summary with *exact* estimates (a perfect sketch): counts
     /// must then equal the truth for monitored keys.
     fn exact_drive(ops: &[(u64, u64)], capacity: usize) -> (TopKSummary<u64>, HashMap<u64, u64>) {
+        windowed_drive(ops, capacity, &[])
+    }
+
+    /// [`exact_drive`] where offer `i` runs in a claim window built from
+    /// `lags[i % len]`: `since` trails the claim count by the first lag,
+    /// `until` sits the second lag above `since` (clamped to the claim
+    /// count, which is all a writer can read under the lock). No lags
+    /// means the empty window of the sequential path.
+    fn windowed_drive(
+        ops: &[(u64, u64)],
+        capacity: usize,
+        lags: &[(u64, u64)],
+    ) -> (TopKSummary<u64>, HashMap<u64, u64>) {
         let mut truth: HashMap<u64, u64> = HashMap::new();
         let mut tk = TopKSummary::<u64>::new(capacity, 0);
-        for &(k, v) in ops {
+        for (i, &(k, v)) in ops.iter().enumerate() {
             let t = truth.entry(k).or_insert(0);
             *t += v;
             let now = *t;
-            tk.offer(&k, v, || Estimate::exact(now));
+            let window = match lags {
+                [] => (0, 0),
+                _ => {
+                    let (back, span) = lags[i % lags.len()];
+                    let since = tk.claims().saturating_sub(back);
+                    (since, (since + span).min(tk.claims()))
+                }
+            };
+            tk.offer_in(&k, v, window, || Estimate::exact(now));
         }
         (tk, truth)
+    }
+
+    fn entry_of(tk: &TopKSummary<u64>, key: u64) -> TopKEntry<u64> {
+        tk.entries_desc()
+            .into_iter()
+            .find(|e| e.key == key)
+            .expect("key is monitored")
+    }
+
+    #[test]
+    fn claim_inside_the_window_widens_error() {
+        // writer B loads since = 0 and descends 3 units of key 7; writer
+        // A descends 7 units, reads the estimate 10 (B's units included)
+        // and claims first. B's offer then finds A's claim (stamp 1) in
+        // its window (0, 1]: its 3 units may already sit in the seed.
+        let mut tk = TopKSummary::<u64>::new(4, 0);
+        tk.offer_in(&7, 7, (0, 0), || Estimate::exact(10));
+        let until = tk.claims();
+        tk.offer_in(&7, 3, (0, until), || unreachable!("monitored"));
+        let e = entry_of(&tk, 7);
+        assert_eq!((e.count, e.error), (13, 3));
+        assert!(e.contains(10), "truth 10 ∉ {e:?}");
+    }
+
+    #[test]
+    fn own_claim_in_the_same_flush_is_not_widened() {
+        // one flush of a chunk holding key 7 twice: the first offer
+        // claims (stamp until + 1), the second is counted exactly
+        let mut tk = TopKSummary::<u64>::new(4, 0);
+        tk.offer(&1, 5, || Estimate::exact(5));
+        let (since, until) = (tk.claims(), tk.claims());
+        tk.offer_in(&7, 2, (since, until), || Estimate::exact(2));
+        tk.offer_in(&7, 4, (since, until), || unreachable!("monitored"));
+        let e = entry_of(&tk, 7);
+        assert_eq!((e.count, e.error), (6, 0));
+    }
+
+    #[test]
+    fn claim_at_or_before_since_is_not_widened() {
+        // a claim published before the writer loaded `since` read its
+        // estimate before the writer's descends
+        let mut tk = TopKSummary::<u64>::new(4, 0);
+        tk.offer(&7, 5, || Estimate::exact(5));
+        tk.offer(&8, 5, || Estimate::exact(5));
+        let since = tk.claims();
+        tk.offer(&9, 1, || Estimate::exact(1));
+        let until = tk.claims();
+        tk.offer_in(&7, 3, (since, until), || unreachable!("monitored"));
+        tk.offer_in(&8, 3, (since, until), || unreachable!("monitored"));
+        assert_eq!(entry_of(&tk, 7).error, 0, "stamp 1 < since {since}");
+        assert_eq!(entry_of(&tk, 8).error, 0, "stamp 2 = since {since}");
+        tk.offer_in(&9, 2, (since, until), || unreachable!("monitored"));
+        assert_eq!(entry_of(&tk, 9).error, 2, "stamp 3 ∈ ({since}, {until}]");
+    }
+
+    #[test]
+    fn claims_survive_clear_and_merge() {
+        let ops: Vec<(u64, u64)> = (0..100u64).map(|i| (i % 11, 1)).collect();
+        let (mut tk, _) = exact_drive(&ops, 8);
+        let claims = tk.claims();
+        assert_eq!(claims, 8, "the first eight keys filled the summary");
+        tk.clear();
+        assert_eq!(tk.claims(), claims, "clear must not lower the claim count");
+        let (other, _) = exact_drive(&ops, 8);
+        tk.merge_from(&other).unwrap();
+        assert_eq!(tk.claims(), claims, "merge must not lower the claim count");
+        // a window opened before the merge still holds no merged entry
+        tk.offer_in(&0, 1, (claims, claims), || unreachable!("monitored"));
+        assert_eq!(entry_of(&tk, 0).error, 0);
+        tk.offer(&99, 1_000, || Estimate::exact(1_000));
+        assert_eq!(tk.claims(), claims + 1);
     }
 
     #[test]
@@ -700,18 +841,25 @@ mod tests {
         fn prop_exact_offers_certify(
             ops in proptest::collection::vec((0u64..60, 1u64..9), 1..400),
             capacity in 1usize..24,
+            lags in proptest::collection::vec((0u64..6, 0u64..6), 0..8),
         ) {
-            let (tk, truth) = exact_drive(&ops, capacity);
+            let (tk, truth) = windowed_drive(&ops, capacity, &lags);
             tk.validate();
             let mb = tk.miss_bound();
-            let monitored: HashMap<u64, u64> = tk
+            let monitored: HashMap<u64, TopKEntry<u64>> = tk
                 .entries_desc()
                 .into_iter()
-                .map(|e| (e.key, e.count))
+                .map(|e| (e.key, e))
                 .collect();
             for (&k, &t) in &truth {
                 match monitored.get(&k) {
-                    Some(&c) => prop_assert!(c >= t, "count {} under truth {} for {}", c, t, k),
+                    Some(e) => {
+                        prop_assert!(e.count >= t, "count {} under truth {} for {}", e.count, t, k);
+                        prop_assert!(e.contains(t), "entry {:?} lost truth {}", e, t);
+                        if lags.is_empty() {
+                            prop_assert_eq!(e.error, 0, "empty windows never widen");
+                        }
+                    }
                     None => prop_assert!(t <= mb, "missed key {} truth {} > miss bound {}", k, t, mb),
                 }
             }

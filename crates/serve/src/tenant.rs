@@ -10,10 +10,13 @@
 //! data plane. Within a tenant, a second `RwLock` arbitrates the only
 //! two access modes the window has:
 //!
-//! - **shared** (`read()`): batched ingest via `insert_shared` and
+//! - **shared** (`read()`): batched ingest via `insert_batch` and
 //!   certified queries via `query_with_error_concurrent` — both take
-//!   `&self` and run lock-free inside the sketch, so any number of
-//!   connections proceed in parallel;
+//!   `&self`, so any number of connections proceed in parallel. Bucket
+//!   updates are lock-free; the only lock on the ingest path is the
+//!   top-K summary's mutex, which `insert_batch` takes once per 64-item
+//!   chunk rather than once per item, so racing writers do not convoy
+//!   on it;
 //! - **exclusive** (`write()`): `Seal` (epoch rotation) and `Merge`,
 //!   the two genuinely exclusive operations.
 //!
@@ -111,12 +114,10 @@ impl Tenant {
     }
 
     /// Fold a batch of updates into the active generation (shared lock;
-    /// the inserts themselves are lock-free).
+    /// bucket updates are lock-free, top-K offers are flushed once per
+    /// 64-item chunk).
     pub fn ingest(&self, items: &[(u64, u64)]) {
-        let window = self.window.read();
-        for (key, value) in items {
-            window.insert_shared(key, *value);
-        }
+        self.window.read().insert_batch(items);
     }
 
     /// Point estimate for `key` across the window.

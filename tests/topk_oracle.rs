@@ -11,9 +11,12 @@
 //!
 //! The contracts must hold for *any* `(k, capacity)` pair — including
 //! `capacity < k`, where the report is short — and for any stream
-//! shape, which is what the property tests sweep.
+//! shape, which is what the property tests sweep. The `two_writer`
+//! tests hold the concurrent sketch's summary to the same containment
+//! and miss-bound contracts while two writers race batched inserts.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::Barrier;
 
 use proptest::prelude::*;
 use reliablesketch::prelude::*;
@@ -130,6 +133,109 @@ fn churn_keeps_the_contracts_through_rotations() {
     let sk = loaded(&stream, 128, 13);
     for k in [4, 16, 64] {
         check_contracts(&sk, &truth, k);
+    }
+}
+
+/// Two writers race one `ConcurrentReliable` through `insert_batch`
+/// (one barrier start, 2048-item slices), each feeding its own stream.
+/// Returns the sketch and the exact per-key truth of both streams.
+fn two_writer_race(
+    config: ReliableConfig,
+    streams: [Vec<(u64, u64)>; 2],
+) -> (ConcurrentReliable<u64>, HashMap<u64, u64>) {
+    let sketch = ConcurrentReliable::<u64>::new(config).with_top_k(8);
+    let start = Barrier::new(2);
+    std::thread::scope(|s| {
+        for stream in &streams {
+            let (sketch, start) = (&sketch, &start);
+            s.spawn(move || {
+                start.wait();
+                for slice in stream.chunks(2048) {
+                    sketch.insert_batch(slice);
+                }
+            });
+        }
+    });
+    let mut truth = HashMap::new();
+    for &(k, v) in streams.iter().flatten() {
+        *truth.entry(k).or_insert(0u64) += v;
+    }
+    (sketch, truth)
+}
+
+/// Containment and the miss bound after a two-writer race, with the
+/// sketch's contention slack allowed below the upper end (the raw
+/// variant has none). Returns the number of entries checked.
+fn check_raced_summary(sketch: &ConcurrentReliable<u64>, truth: &HashMap<u64, u64>) -> usize {
+    let slack = sketch.contention_undershoot_bound();
+    let top = sketch.certified_top_k(8);
+    for e in &top.entries {
+        let t = truth[&e.key];
+        assert!(
+            e.lower_bound() <= t && t <= e.count + slack,
+            "key {}: truth {t} ∉ [{}, {}] (+{slack} slack)",
+            e.key,
+            e.lower_bound(),
+            e.count
+        );
+    }
+    let reported: HashSet<u64> = top.entries.iter().map(|e| e.key).collect();
+    for (&key, &t) in truth {
+        assert!(
+            reported.contains(&key) || t <= top.miss_bound + slack,
+            "unreported key {key}: truth {t} > miss bound {} (+{slack} slack)",
+            top.miss_bound
+        );
+    }
+    top.entries.len()
+}
+
+/// Regression for the claim-then-increment race of buffered top-K
+/// offers: a writer's units can land in another writer's claim seed
+/// before its own offer is applied. With 1 MiB every one of the 48 keys
+/// owns its bucket, so estimates are exact and any double count shows
+/// as a lower bound above the truth.
+#[test]
+fn two_writer_batches_keep_topk_certified() {
+    let mut checked = 0;
+    for seed in 0..20u64 {
+        let config = ReliableConfig {
+            memory_bytes: 1 << 20,
+            mice_filter: None,
+            seed,
+            ..Default::default()
+        };
+        let streams = [0u64, 1].map(|w| {
+            (0..100_000u64)
+                .map(|i| ((i.wrapping_mul(2_654_435_761) ^ (7 * w)) % 48, 1))
+                .collect()
+        });
+        let (sketch, truth) = two_writer_race(config, streams);
+        checked += check_raced_summary(&sketch, &truth);
+    }
+    assert_eq!(checked, 20 * 8, "every run reports a full top-8");
+}
+
+/// The filtered variant of the race on Zipf-1.1 streams: the mice
+/// filter's own contention slack is the only allowance.
+#[test]
+fn two_writer_filtered_zipf_batches_keep_topk_certified() {
+    for seed in 0..6u64 {
+        let config = ReliableConfig {
+            memory_bytes: 1 << 20,
+            seed,
+            ..Default::default()
+        };
+        let streams = [0u64, 1].map(|w| {
+            Dataset::Zipf { skew: 1.1 }
+                .generate(100_000, seed * 2 + w)
+                .iter()
+                .map(|it| (it.key, it.value))
+                .collect()
+        });
+        let (sketch, truth) = two_writer_race(config, streams);
+        assert!(sketch.has_filter());
+        assert_eq!(check_raced_summary(&sketch, &truth), 8);
     }
 }
 
