@@ -525,14 +525,14 @@ pub struct ConcurrentReliable<K: Key> {
     /// The error-certified top-K layer ([`crate::topk`]). Every value
     /// the mice filter passes on is offered to it under its mutex, after
     /// the insert's bucket CASes committed. On skewed traffic that is
-    /// most items (88 % on the serve workload), so the item path takes
-    /// the mutex almost per item and racing writers convoy on it;
+    /// most items, so the item path takes the mutex almost per item and
+    /// racing writers convoy on it (docs/CONCURRENCY.md §7);
     /// [`Self::insert_batch`] takes it once per 64-item chunk instead.
     topk: Option<Mutex<TopKSummary<K>>>,
-    /// Mirror of the summary's claim count, stored (Release) under the
-    /// mutex after every flush. A writer loads it (Acquire) before it
-    /// descends: the `since` of its claim window (see [`crate::topk`]).
-    topk_claims: AtomicU64,
+    /// Mirror of the summary's clock, stored (Release) under the mutex
+    /// at the end of every flush. A writer loads it (Acquire) before it
+    /// descends: the `since` of its flush (see [`crate::topk`]).
+    topk_clock: AtomicU64,
     merged: Option<MergedOverlay>,
     /// Bumped whenever the sealed overlay mutates (every merge funnels
     /// through [`Self::seal_into_overlay`]); lets a replication cut detect
@@ -604,7 +604,7 @@ impl<K: Key> ConcurrentReliable<K> {
             failures: AtomicU64::new(0),
             emergency,
             topk: None,
-            topk_claims: AtomicU64::new(0),
+            topk_clock: AtomicU64::new(0),
             merged: None,
             merge_epoch: 0,
             #[cfg(feature = "serde")]
@@ -655,13 +655,13 @@ impl<K: Key> ConcurrentReliable<K> {
     /// [`Self::insert_batch`]). Enable *before* ingesting. Under
     /// producer contention a claim's seed estimate may trail the racing
     /// truth by the documented [`Self::contention_undershoot_bound`], and
-    /// claim stamps widen an entry's error by racing writers' units its
-    /// seed may already hold; single-owner histories are bit-for-bit
-    /// equal to the sequential twin's summary.
+    /// claim stamps keep entries sound when writers race (see
+    /// [`crate::topk`]); single-owner histories are bit-for-bit equal to
+    /// the sequential twin's summary.
     pub fn enable_top_k(&mut self, capacity: usize) {
         let threshold = self.filter.as_ref().map_or(0, AtomicMiceFilter::threshold);
         self.topk = Some(Mutex::new(TopKSummary::new(capacity, threshold)));
-        *self.topk_claims.get_mut() = 0;
+        *self.topk_clock.get_mut() = 0;
     }
 
     /// Builder-style [`Self::enable_top_k`].
@@ -731,12 +731,12 @@ impl<K: Key> ConcurrentReliable<K> {
     /// value it passes through descends into the bucket layers.
     #[inline]
     fn insert_prehashed(&self, key: &K, value: u64, fp: u64, idx0: usize) {
-        let since = self.topk_claims.load(Ordering::Acquire);
+        let since = self.topk_clock.load(Ordering::Acquire);
         if let Some(passed) = self.filter_and_descend(key, value, fp, idx0) {
             // elephant promotion after every CAS of this insert
             // committed: an unmonitored key's claim is seeded from the
-            // certified post-insert estimate
-            self.flush_offers(since, [(key, passed, || self.query_with_error(key))]);
+            // certified post-insert estimate, read under the lock
+            self.flush_offers(since, [(key, passed, |_| self.query_with_error(key))]);
         }
     }
 
@@ -756,25 +756,19 @@ impl<K: Key> ConcurrentReliable<K> {
         self.topk.as_ref().map(|_| v)
     }
 
-    /// Apply top-K offers in stream order under one lock. `since` is the
-    /// claim mirror the writer loaded before its first descend; claims
-    /// made by other writers after it are widened by
-    /// [`TopKSummary::offer_in`]. The mirror is republished before the
-    /// lock is released.
+    /// Apply top-K offers in stream order under one lock through
+    /// [`TopKSummary::flush`]. `since` is the clock mirror the writer
+    /// loaded before its first descend; the ticked clock is republished
+    /// before the lock is released.
     fn flush_offers<'a, F>(&self, since: u64, offers: impl IntoIterator<Item = (&'a K, u64, F)>)
     where
         K: 'a,
-        F: FnOnce() -> Estimate,
+        F: FnOnce(bool) -> Estimate,
     {
         let Some(tk) = &self.topk else { return };
         let mut summary = tk.lock();
-        let until = summary.claims();
-        for (key, passed, estimate) in offers {
-            summary.offer_in(key, passed, (since, until), estimate);
-        }
-        if summary.claims() != until {
-            self.topk_claims.store(summary.claims(), Ordering::Release);
-        }
+        let clock = summary.flush(since, offers);
+        self.topk_clock.store(clock, Ordering::Release);
     }
 
     /// The bucket-layer walk proper: descend from layer 0 until the value
@@ -803,15 +797,17 @@ impl<K: Key> ConcurrentReliable<K> {
     /// under one lock of the summary's mutex instead of one per passed
     /// item, which is what lets racing writers scale. Each offer carries
     /// the estimate taken right after its own descend — the estimate the
-    /// item loop would compute — and the chunk's claim window keeps the
-    /// certificates sound when another writer claims a key in between
-    /// (see [`crate::topk`]).
+    /// item loop would compute. When another writer flushed while the
+    /// chunk was in flight, claim stamps widen what may be counted twice,
+    /// and after an admission offers of unmonitored keys re-read the
+    /// estimate under the lock, so the certificates stay sound (see
+    /// [`crate::topk`]).
     pub fn insert_batch(&self, items: &[(K, u64)]) {
         const CHUNK: usize = 64;
         let w0 = self.geometry.width(0);
         let mut idx0 = [0usize; CHUNK];
         let mut fps = [0u64; CHUNK];
-        let mut offers: Vec<(K, u64, Estimate)> = match self.topk {
+        let mut offers: Vec<(usize, u64, Estimate)> = match self.topk {
             Some(_) => Vec::with_capacity(CHUNK.min(items.len())),
             None => Vec::new(),
         };
@@ -820,18 +816,28 @@ impl<K: Key> ConcurrentReliable<K> {
                 idx0[s] = self.hashes.index(0, k, w0);
                 fps[s] = self.fingerprint(k);
             }
-            let since = self.topk_claims.load(Ordering::Acquire);
+            let since = self.topk_clock.load(Ordering::Acquire);
             for (s, (k, v)) in chunk.iter().enumerate() {
                 if *v == 0 {
                     continue;
                 }
                 if let Some(passed) = self.filter_and_descend(k, *v, fps[s], idx0[s]) {
-                    offers.push((*k, passed, self.query_prehashed(k, fps[s], idx0[s])));
+                    offers.push((s, passed, self.query_prehashed(k, fps[s], idx0[s])));
                 }
             }
             if !offers.is_empty() {
-                self.flush_offers(since, offers.iter().map(|(k, p, e)| (k, *p, move || *e)));
-                offers.clear();
+                let offers = offers.drain(..).map(|(s, passed, eager)| {
+                    let (k, fp, i0) = (&chunk[s].0, fps[s], idx0[s]);
+                    let estimate = move |fresh: bool| {
+                        if fresh {
+                            self.query_prehashed(k, fp, i0)
+                        } else {
+                            eager
+                        }
+                    };
+                    (k, passed, estimate)
+                });
+                self.flush_offers(since, offers);
             }
         }
     }
