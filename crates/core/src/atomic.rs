@@ -20,7 +20,10 @@
 //!   is atomic and the per-bucket invariants (`YES ≥ NO` for candidates,
 //!   `NO ≤ λ_i`) hold under any interleaving.
 //! * **Relaxed counters for stats.** Items, CAS retries, failures and
-//!   saturation events are `Relaxed` atomics off the decision path.
+//!   saturation events are `Relaxed` atomics off the decision path. The
+//!   item counter is bumped once per item on the item path and once per
+//!   64-item chunk under [`ConcurrentReliable::insert_batch`], on cache
+//!   lines no bucket lookup reads.
 //!
 //! ### What survives concurrency
 //!
@@ -49,9 +52,9 @@
 //! * **Emergency store** — failures are recorded under the configured
 //!   policy behind a mutex only failures touch;
 //! * **Top-K** — promoted values are offered to a
-//!   [`crate::topk::TopKSummary`] behind a mutex, once per 64-item chunk
-//!   under [`ConcurrentReliable::insert_batch`]; claim stamps keep its
-//!   certificates sound with racing writers;
+//!   [`crate::topk::TopKSummary`] behind a mutex, once per call (and per
+//!   [`FLUSH_ITEMS`] items) under [`ConcurrentReliable::insert_batch`];
+//!   claim stamps keep its certificates sound with racing writers;
 //! * **Windows** — [`crate::epoch::EpochedConcurrent`] rotates generations
 //!   of this structure for bounded-history summaries;
 //! * **Merging** — [`rsk_api::Merge`] is implemented for
@@ -195,8 +198,12 @@ pub(crate) fn step_word(word: u64, fp: u64, value: u64, lambda: u64) -> (u64, u6
     }
 }
 
-/// Relaxed operation counters of an [`AtomicBucketArray`].
+/// Relaxed operation counters of an [`AtomicBucketArray`], aligned to
+/// cache lines of their own: racing writers bump them, while every
+/// bucket step reads the array's layout fields that would otherwise
+/// share their line.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub struct AtomicStats {
     items: AtomicU64,
     retries: AtomicU64,
@@ -204,7 +211,8 @@ pub struct AtomicStats {
 }
 
 impl AtomicStats {
-    /// Insert operations started.
+    /// Insert operations started (items with a nonzero value). The
+    /// batch path counts each 64-item chunk once its items are applied.
     pub fn items(&self) -> u64 {
         self.items.load(Ordering::Relaxed)
     }
@@ -234,7 +242,8 @@ impl AtomicStats {
             .fetch_add(other.saturations(), Ordering::Relaxed);
     }
 
-    /// Count `n` foreign insert operations (merging a sequential peer).
+    /// Count `n` insert operations at once (a batch chunk, or a merged
+    /// sequential peer's inserts).
     pub(crate) fn add_items(&self, n: u64) {
         self.items.fetch_add(n, Ordering::Relaxed);
     }
@@ -319,7 +328,8 @@ impl AtomicBucketArray {
         &self.stats
     }
 
-    /// Record one insert operation (called once per item by the owner).
+    /// Record one insert operation (the item path; the batch path
+    /// counts a chunk at once through [`AtomicStats::add_items`]).
     #[inline]
     pub(crate) fn note_item(&self) {
         self.stats.items.fetch_add(1, Ordering::Relaxed);
@@ -468,6 +478,59 @@ pub(crate) struct MergedOverlay {
     pub(crate) hints: Vec<Vec<bool>>,
 }
 
+/// The error-certified top-K layer ([`crate::topk`]) with the mirror of
+/// its clock, aligned to cache lines of their own: every flush writes
+/// both, while every insert reads the fields beside them in
+/// [`ConcurrentReliable`].
+#[derive(Debug)]
+#[repr(align(128))]
+struct TopKLayer<K: Key> {
+    summary: Mutex<TopKSummary<K>>,
+    /// Mirror of the summary's clock, stored (Release) under the mutex
+    /// at the end of every flush. A writer loads it (Acquire) before it
+    /// descends: the `since` of its flush (see [`crate::topk`]).
+    clock: AtomicU64,
+}
+
+impl<K: Key> TopKLayer<K> {
+    /// The clock a writer reads before its first descend.
+    #[inline]
+    fn since(&self) -> u64 {
+        self.clock.load(Ordering::Acquire)
+    }
+
+    /// Apply top-K offers in stream order under one lock through
+    /// [`TopKSummary::flush`], republishing the ticked clock before the
+    /// lock is released.
+    fn flush<'a, F>(&self, since: u64, offers: impl IntoIterator<Item = (&'a K, u64, F)>)
+    where
+        K: 'a,
+        F: FnOnce(bool) -> Estimate,
+    {
+        let mut summary = self.summary.lock();
+        let clock = summary.flush(since, offers);
+        self.clock.store(clock, Ordering::Release);
+    }
+}
+
+/// Items [`ConcurrentReliable::insert_batch`] applies between two top-K
+/// flushes. Bounds the call's offer buffer (40 bytes an offer, 80 KiB at
+/// most) while a full `MAX_BATCH` serve frame of 16 384 items still takes
+/// the summary's mutex only eight times.
+pub const FLUSH_ITEMS: usize = 2048;
+
+/// One buffered top-K offer of [`ConcurrentReliable::insert_batch`]: the
+/// item's position in its flush window, the fingerprint and layer-0
+/// index a fresh estimate under the lock reuses, the value the filter
+/// passed and the estimate read right after the item's own descend.
+struct Offer {
+    at: u32,
+    fp: u32,
+    idx0: usize,
+    passed: u64,
+    eager: Estimate,
+}
+
 /// Salt separating the fingerprint hash from the per-layer index family.
 const FP_SALT: u64 = 0xf19e_5a1e_0ff5_eeda;
 
@@ -527,12 +590,9 @@ pub struct ConcurrentReliable<K: Key> {
     /// the insert's bucket CASes committed. On skewed traffic that is
     /// most items, so the item path takes the mutex almost per item and
     /// racing writers convoy on it (docs/CONCURRENCY.md §7);
-    /// [`Self::insert_batch`] takes it once per 64-item chunk instead.
-    topk: Option<Mutex<TopKSummary<K>>>,
-    /// Mirror of the summary's clock, stored (Release) under the mutex
-    /// at the end of every flush. A writer loads it (Acquire) before it
-    /// descends: the `since` of its flush (see [`crate::topk`]).
-    topk_clock: AtomicU64,
+    /// [`Self::insert_batch`] takes it once per call and per
+    /// [`FLUSH_ITEMS`] items instead.
+    topk: Option<TopKLayer<K>>,
     merged: Option<MergedOverlay>,
     /// Bumped whenever the sealed overlay mutates (every merge funnels
     /// through [`Self::seal_into_overlay`]); lets a replication cut detect
@@ -604,7 +664,6 @@ impl<K: Key> ConcurrentReliable<K> {
             failures: AtomicU64::new(0),
             emergency,
             topk: None,
-            topk_clock: AtomicU64::new(0),
             merged: None,
             merge_epoch: 0,
             #[cfg(feature = "serde")]
@@ -651,8 +710,9 @@ impl<K: Key> ConcurrentReliable<K> {
     /// Attach the error-certified top-K layer ([`crate::topk`]),
     /// mirroring [`crate::ReliableSketch::enable_top_k`]: every value
     /// the atomic mice filter passes on is offered to it (once per item
-    /// on the item path, once per 64-item chunk under
-    /// [`Self::insert_batch`]). Enable *before* ingesting. Under
+    /// on the item path, buffered and flushed once per call and per
+    /// [`FLUSH_ITEMS`] items under [`Self::insert_batch`]). Enable
+    /// *before* ingesting. Under
     /// producer contention a claim's seed estimate may trail the racing
     /// truth by the documented [`Self::contention_undershoot_bound`], and
     /// claim stamps keep entries sound when writers race (see
@@ -660,8 +720,10 @@ impl<K: Key> ConcurrentReliable<K> {
     /// the sequential twin's summary.
     pub fn enable_top_k(&mut self, capacity: usize) {
         let threshold = self.filter.as_ref().map_or(0, AtomicMiceFilter::threshold);
-        self.topk = Some(Mutex::new(TopKSummary::new(capacity, threshold)));
-        *self.topk_clock.get_mut() = 0;
+        self.topk = Some(TopKLayer {
+            summary: Mutex::new(TopKSummary::new(capacity, threshold)),
+            clock: AtomicU64::new(0),
+        });
     }
 
     /// Builder-style [`Self::enable_top_k`].
@@ -674,12 +736,12 @@ impl<K: Key> ConcurrentReliable<K> {
     /// Clone of the attached top-K summary, if enabled (read under its
     /// mutex; the merge and epoch layers use this to union summaries).
     pub fn top_k_summary(&self) -> Option<TopKSummary<K>> {
-        self.topk.as_ref().map(|tk| tk.lock().clone())
+        self.topk.as_ref().map(|tk| tk.summary.lock().clone())
     }
 
     /// The top-K mutex itself (merge plumbing).
     pub(crate) fn topk_cell(&self) -> Option<&Mutex<TopKSummary<K>>> {
-        self.topk.as_ref()
+        self.topk.as_ref().map(|tk| &tk.summary)
     }
 
     /// Drop the top-K layer — replica apply paths call this because a
@@ -731,20 +793,21 @@ impl<K: Key> ConcurrentReliable<K> {
     /// value it passes through descends into the bucket layers.
     #[inline]
     fn insert_prehashed(&self, key: &K, value: u64, fp: u64, idx0: usize) {
-        let since = self.topk_clock.load(Ordering::Acquire);
-        if let Some(passed) = self.filter_and_descend(key, value, fp, idx0) {
+        self.array.note_item();
+        let since = self.topk.as_ref().map_or(0, TopKLayer::since);
+        let passed = self.filter_and_descend(key, value, fp, idx0);
+        if let (Some(passed), Some(tk)) = (passed, &self.topk) {
             // elephant promotion after every CAS of this insert
             // committed: an unmonitored key's claim is seeded from the
             // certified post-insert estimate, read under the lock
-            self.flush_offers(since, [(key, passed, |_| self.query_with_error(key))]);
+            tk.flush(since, [(key, passed, |_| self.query_with_error(key))]);
         }
     }
 
-    /// Count the item, run it through the mice filter and descend what
-    /// passes. Returns the passed value when a top-K layer wants it.
+    /// Run the item through the mice filter and descend what passes.
+    /// Returns the passed value, or `None` when the filter absorbed it.
     #[inline]
     fn filter_and_descend(&self, key: &K, value: u64, fp: u64, idx0: usize) -> Option<u64> {
-        self.array.note_item();
         let mut v = value;
         if let Some(f) = &self.filter {
             v = f.insert(key, v);
@@ -753,22 +816,7 @@ impl<K: Key> ConcurrentReliable<K> {
             }
         }
         self.descend(key, v, fp, idx0);
-        self.topk.as_ref().map(|_| v)
-    }
-
-    /// Apply top-K offers in stream order under one lock through
-    /// [`TopKSummary::flush`]. `since` is the clock mirror the writer
-    /// loaded before its first descend; the ticked clock is republished
-    /// before the lock is released.
-    fn flush_offers<'a, F>(&self, since: u64, offers: impl IntoIterator<Item = (&'a K, u64, F)>)
-    where
-        K: 'a,
-        F: FnOnce(bool) -> Estimate,
-    {
-        let Some(tk) = &self.topk else { return };
-        let mut summary = tk.lock();
-        let clock = summary.flush(since, offers);
-        self.topk_clock.store(clock, Ordering::Release);
+        Some(v)
     }
 
     /// The bucket-layer walk proper: descend from layer 0 until the value
@@ -791,43 +839,61 @@ impl<K: Key> ConcurrentReliable<K> {
     /// Insert a batch, amortizing fingerprint and layer-0 hashing over a
     /// tight precompute loop per 64-item chunk. Items are applied in
     /// stream order; one writer gets exactly the state of calling
-    /// [`Self::insert_concurrent`] per item.
+    /// [`Self::insert_concurrent`] per item. The item counter is bumped
+    /// once per chunk rather than once per item.
     ///
-    /// With a top-K layer, each chunk's offers are buffered and applied
-    /// under one lock of the summary's mutex instead of one per passed
+    /// With a top-K layer, the call's offers are buffered and applied
+    /// under one lock of the summary's mutex — one per call, or one per
+    /// [`FLUSH_ITEMS`] items of a longer call — instead of one per passed
     /// item, which is what lets racing writers scale. Each offer carries
     /// the estimate taken right after its own descend — the estimate the
     /// item loop would compute. When another writer flushed while the
-    /// chunk was in flight, claim stamps widen what may be counted twice,
-    /// and after an admission offers of unmonitored keys re-read the
-    /// estimate under the lock, so the certificates stay sound (see
+    /// window was in flight, claim stamps widen what may be counted
+    /// twice, and after an admission offers of unmonitored keys re-read
+    /// the estimate under the lock, so the certificates stay sound (see
     /// [`crate::topk`]).
     pub fn insert_batch(&self, items: &[(K, u64)]) {
         const CHUNK: usize = 64;
         let w0 = self.geometry.width(0);
         let mut idx0 = [0usize; CHUNK];
         let mut fps = [0u64; CHUNK];
-        let mut offers: Vec<(usize, u64, Estimate)> = match self.topk {
-            Some(_) => Vec::with_capacity(CHUNK.min(items.len())),
+        let topk = self.topk.as_ref();
+        let mut offers: Vec<Offer> = match topk {
+            Some(_) => Vec::with_capacity(FLUSH_ITEMS.min(items.len())),
             None => Vec::new(),
         };
-        for chunk in items.chunks(CHUNK) {
-            for (s, (k, _)) in chunk.iter().enumerate() {
-                idx0[s] = self.hashes.index(0, k, w0);
-                fps[s] = self.fingerprint(k);
-            }
-            let since = self.topk_clock.load(Ordering::Acquire);
-            for (s, (k, v)) in chunk.iter().enumerate() {
-                if *v == 0 {
-                    continue;
+        for window in items.chunks(FLUSH_ITEMS) {
+            let since = topk.map_or(0, TopKLayer::since);
+            for (c, chunk) in window.chunks(CHUNK).enumerate() {
+                for (s, (k, _)) in chunk.iter().enumerate() {
+                    idx0[s] = self.hashes.index(0, k, w0);
+                    fps[s] = self.fingerprint(k);
                 }
-                if let Some(passed) = self.filter_and_descend(k, *v, fps[s], idx0[s]) {
-                    offers.push((s, passed, self.query_prehashed(k, fps[s], idx0[s])));
+                let mut counted = 0;
+                for (s, (k, v)) in chunk.iter().enumerate() {
+                    if *v == 0 {
+                        continue;
+                    }
+                    counted += 1;
+                    let Some(passed) = self.filter_and_descend(k, *v, fps[s], idx0[s]) else {
+                        continue;
+                    };
+                    if topk.is_some() {
+                        offers.push(Offer {
+                            at: (c * CHUNK + s) as u32,
+                            fp: fps[s] as u32,
+                            idx0: idx0[s],
+                            passed,
+                            eager: self.query_prehashed(k, fps[s], idx0[s]),
+                        });
+                    }
                 }
+                self.array.stats.add_items(counted);
             }
-            if !offers.is_empty() {
-                let offers = offers.drain(..).map(|(s, passed, eager)| {
-                    let (k, fp, i0) = (&chunk[s].0, fps[s], idx0[s]);
+            if let Some(tk) = topk.filter(|_| !offers.is_empty()) {
+                let offers = offers.drain(..).map(|o| {
+                    let (k, fp, i0, eager) =
+                        (&window[o.at as usize].0, u64::from(o.fp), o.idx0, o.eager);
                     let estimate = move |fresh: bool| {
                         if fresh {
                             self.query_prehashed(k, fp, i0)
@@ -835,9 +901,9 @@ impl<K: Key> ConcurrentReliable<K> {
                             eager
                         }
                     };
-                    (k, passed, estimate)
+                    (k, o.passed, estimate)
                 });
-                self.flush_offers(since, offers);
+                tk.flush(since, offers);
             }
         }
     }
@@ -1090,7 +1156,10 @@ impl<K: Key> MemoryFootprint for ConcurrentReliable<K> {
         let overlay = self.merged.as_ref().map_or(0, |_| {
             self.array.total_buckets() * crate::config::BUCKET_BYTES
         });
-        let topk = self.topk.as_ref().map_or(0, |tk| tk.lock().memory_bytes());
+        let topk = self
+            .topk
+            .as_ref()
+            .map_or(0, |tk| tk.summary.lock().memory_bytes());
         filter
             + self.array.total_buckets() * ATOMIC_BUCKET_BYTES
             + overlay
@@ -1103,11 +1172,13 @@ impl<K: Key> TopK<K> for ConcurrentReliable<K> {
     fn certified_top_k(&self, k: usize) -> CertifiedTopK<K> {
         self.topk
             .as_ref()
-            .map_or_else(CertifiedTopK::vacuous, |tk| tk.lock().certified_top_k(k))
+            .map_or_else(CertifiedTopK::vacuous, |tk| {
+                tk.summary.lock().certified_top_k(k)
+            })
     }
 
     fn top_k_capacity(&self) -> Option<usize> {
-        self.topk.as_ref().map(|tk| tk.lock().capacity())
+        self.topk.as_ref().map(|tk| tk.summary.lock().capacity())
     }
 }
 
@@ -1130,7 +1201,7 @@ impl<K: Key> Clear for ConcurrentReliable<K> {
         self.failures.store(0, Ordering::Relaxed);
         self.emergency.lock().clear();
         if let Some(tk) = &self.topk {
-            tk.lock().clear();
+            tk.summary.lock().clear();
         }
         self.merged = None;
         self.merge_epoch = 0;

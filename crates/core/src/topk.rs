@@ -38,8 +38,8 @@
 //! ## Claim stamps
 //!
 //! Racing writers of [`crate::atomic::ConcurrentReliable`] descend first
-//! and offer afterwards, one buffered flush per chunk, which opens two
-//! gaps. A claim's seed estimate may already hold units whose own offer
+//! and offer afterwards, one buffered flush per batch call (and per
+//! [`crate::atomic::FLUSH_ITEMS`] items), which opens two gaps. A claim's seed estimate may already hold units whose own offer
 //! is still on its way (a double count), and an estimate taken right
 //! after a writer's descend may miss units that another writer
 //! descended and offered before this flush (a stale seed, which breaks
@@ -55,7 +55,7 @@
 //! * an offer to an entry stamped after `since` adds `passed` to the
 //!   entry's `error` as well as to its `count`: another writer claimed it
 //!   after this writer's units may have landed, or this flush did (its
-//!   fresh claims already hold the chunk's later units). Claims stamped
+//!   fresh claims already hold the flush's later units). Claims stamped
 //!   `≤ since` were published before the writer's descends, so their
 //!   seeds hold none of its units;
 //! * once any key has been admitted since `since`, offers of

@@ -18,7 +18,16 @@
 //! - **TCP flow control** — each connection's acks are written to the
 //!   same socket the requests arrive on, so a client that stops reading
 //!   acks eventually stops being able to write. `rsk-load`'s bounded
-//!   credit window (see [`crate::load`]) is the cooperating client half.
+//!   credit window (see [`crate::load`]) is the cooperating client half;
+//! - **accept errors** — a failed `accept()` (e.g. `EMFILE` once the
+//!   process is out of file descriptors) is retried after
+//!   [`POLL_INTERVAL`] rather than at once, so a persistent error does
+//!   not spin an accept thread.
+//!
+//! Each accept also joins the handler threads of connections that have
+//! since closed, so the server holds handles only for live connections
+//! (and those that closed since the last accept), not for every
+//! connection it ever served.
 //!
 //! Shutdown: a `Shutdown` frame (or [`ServerHandle::shutdown`]) flips a
 //! flag, wakes every accept thread with a loopback dial, and joins all
@@ -40,7 +49,8 @@ use crate::protocol::{
 };
 use crate::tenant::{SketchSpec, TenantMap};
 
-/// How often a blocked connection handler re-checks the stop flag.
+/// How often a blocked connection handler re-checks the stop flag, and
+/// how long an accept thread waits before retrying a failed `accept()`.
 pub const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Server configuration; `Default` is a loopback ephemeral-port setup
@@ -238,7 +248,10 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, addr: SocketAddr) {
     while !shared.stop.load(Ordering::SeqCst) {
         let (stream, _) = match listener.accept() {
             Ok(pair) => pair,
-            Err(_) => continue,
+            Err(_) => {
+                std::thread::sleep(POLL_INTERVAL);
+                continue;
+            }
         };
         if shared.stop.load(Ordering::SeqCst) {
             break;
@@ -271,7 +284,21 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, addr: SocketAddr) {
                 shared2.live_connections.fetch_sub(1, Ordering::SeqCst);
             })
             .expect("spawn connection thread");
-        shared.conn_handles.lock().push(handle);
+        let mut handles = shared.conn_handles.lock();
+        reap_finished(&mut handles);
+        handles.push(handle);
+    }
+}
+
+/// Join and drop the handles of connection threads that have exited.
+fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < handles.len() {
+        if handles[i].is_finished() {
+            let _ = handles.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
     }
 }
 
@@ -628,6 +655,20 @@ mod tests {
         drop((src, dst));
         primary.shutdown();
         replica.shutdown();
+    }
+
+    #[test]
+    fn finished_connection_handles_are_reaped() {
+        let server = ServerHandle::start(tiny()).unwrap();
+        for _ in 0..200 {
+            let mut client = Client::connect(server.local_addr()).unwrap();
+            client.stats().unwrap();
+        }
+        // Without reaping, the list holds all 200 handles; with it, only
+        // the handlers still closing when the last accepts ran.
+        let held = server.shared.conn_handles.lock().len();
+        assert!(held <= 32, "{held} connection handles held");
+        server.shutdown();
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   certified queries via `query_with_error_concurrent` — both take
 //!   `&self`, so any number of connections proceed in parallel. Bucket
 //!   updates are lock-free; the only lock on the ingest path is the
-//!   top-K summary's mutex, which `insert_batch` takes once per 64-item
-//!   chunk rather than once per item, so racing writers do not convoy
-//!   on it;
+//!   top-K summary's mutex, which `insert_batch` takes once per call
+//!   (and per `rsk_core::atomic::FLUSH_ITEMS` items of a longer call)
+//!   rather than once per item, so racing writers do not convoy on it;
 //! - **exclusive** (`write()`): `Seal` (epoch rotation) and `Merge`,
 //!   the two genuinely exclusive operations.
 //!
@@ -115,7 +115,7 @@ impl Tenant {
 
     /// Fold a batch of updates into the active generation (shared lock;
     /// bucket updates are lock-free, top-K offers are flushed once per
-    /// 64-item chunk).
+    /// call, and once per `FLUSH_ITEMS` = 2048 items of a longer call).
     pub fn ingest(&self, items: &[(u64, u64)]) {
         self.window.read().insert_batch(items);
     }

@@ -211,12 +211,18 @@ fn batch_size_sweep_uniform_and_zipf() {
 
             let mut seq_oracle = ReliableSketch::<u64>::new(cfg.clone());
             let conc_oracle = ConcurrentReliable::<u64>::new(cfg.clone());
+            let topk_oracle = ConcurrentReliable::<u64>::new(cfg.clone()).with_top_k(8);
             for &(k, v) in &items {
                 seq_oracle.insert(&k, v);
                 conc_oracle.insert_concurrent(&k, v);
+                topk_oracle.insert_concurrent(&k, v);
             }
 
-            for batch in [1usize, 2, 3, 4, 5, 7, 8, 16, 63, 64, 65, 129, 1024, 4096] {
+            // 2047..=2049 and 16384 straddle the top-K flush cap
+            // (`FLUSH_ITEMS`) and a full `MAX_BATCH` serve frame
+            for batch in [
+                1usize, 2, 3, 4, 5, 7, 8, 16, 63, 64, 65, 129, 1024, 2047, 2048, 2049, 4096, 16384,
+            ] {
                 let mut seq = ReliableSketch::<u64>::new(cfg.clone());
                 assert_eq!(
                     seq.ingest_batched(items.iter().copied(), batch),
@@ -231,6 +237,17 @@ fn batch_size_sweep_uniform_and_zipf() {
                     "{name} raw={raw} batch={batch}"
                 );
                 assert_conc_identical(&conc, &conc_oracle, &keys);
+
+                let topk = ConcurrentReliable::<u64>::new(cfg.clone()).with_top_k(8);
+                topk.ingest_batched(items.iter().copied(), batch);
+                assert_conc_identical(&topk, &topk_oracle, &keys);
+                for k in [3usize, 8] {
+                    assert_eq!(
+                        topk.certified_top_k(k),
+                        topk_oracle.certified_top_k(k),
+                        "{name} raw={raw} batch={batch} k={k}"
+                    );
+                }
             }
         }
     }

@@ -143,6 +143,15 @@ fn two_writer_race(
     config: ReliableConfig,
     streams: [Vec<(u64, u64)>; 2],
 ) -> (ConcurrentReliable<u64>, HashMap<u64, u64>) {
+    two_writer_race_sliced(config, streams, 2048)
+}
+
+/// [`two_writer_race`] with `slice`-item `insert_batch` calls.
+fn two_writer_race_sliced(
+    config: ReliableConfig,
+    streams: [Vec<(u64, u64)>; 2],
+    slice: usize,
+) -> (ConcurrentReliable<u64>, HashMap<u64, u64>) {
     let sketch = ConcurrentReliable::<u64>::new(config).with_top_k(8);
     let start = Barrier::new(2);
     std::thread::scope(|s| {
@@ -150,8 +159,8 @@ fn two_writer_race(
             let (sketch, start) = (&sketch, &start);
             s.spawn(move || {
                 start.wait();
-                for slice in stream.chunks(2048) {
-                    sketch.insert_batch(slice);
+                for batch in stream.chunks(slice) {
+                    sketch.insert_batch(batch);
                 }
             });
         }
@@ -236,6 +245,34 @@ fn two_writer_filtered_zipf_batches_keep_topk_certified() {
         let (sketch, truth) = two_writer_race(config, streams);
         assert!(sketch.has_filter());
         assert_eq!(check_raced_summary(&sketch, &truth), 8);
+    }
+}
+
+/// The race with full `MAX_BATCH` (16 384-item) calls, each of which
+/// flushes its top-K offers eight times under one clock read per
+/// flush: containment, the miss bound, and the item count all hold.
+#[test]
+fn two_writer_max_batch_slices_keep_topk_certified() {
+    for (seed, raw) in [(0u64, true), (1, false), (2, true), (3, false)] {
+        let mut config = ReliableConfig {
+            memory_bytes: 1 << 20,
+            seed,
+            ..Default::default()
+        };
+        if raw {
+            config.mice_filter = None;
+        }
+        let streams = [0u64, 1].map(|w| {
+            Dataset::Zipf { skew: 1.1 }
+                .generate(100_000, seed * 2 + w)
+                .iter()
+                .map(|it| (it.key, it.value))
+                .collect::<Vec<_>>()
+        });
+        let total = streams.iter().flatten().filter(|(_, v)| *v > 0).count() as u64;
+        let (sketch, truth) = two_writer_race_sliced(config, streams, 16_384);
+        assert_eq!(check_raced_summary(&sketch, &truth), 8);
+        assert_eq!(sketch.array().stats().items(), total);
     }
 }
 
